@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import pgd_attack
-from .network import BranchMode
+from .network import CONV_GEOMETRY, BranchMode
 from .tensor import backprop, conv2d_weight_grad, softmax_cross_entropy
 
 
@@ -129,8 +129,9 @@ def frozen_grad_formula_check(model, layer, batch):
     # adjoint of the normalized activation: affine peels off gamma
     g_norm = bn_out.grad * state.gamma_f.data.reshape(1, c, 1, 1)
     sigma = np.sqrt(state.frozen_var + state.eps).reshape(1, c, 1, 1)
-    analytic = conv2d_weight_grad(h_prev.data, g_norm / sigma, 3, 3,
-                                  stride=2, pad=1)
+    kh, kw = model.params[layer].data.shape[2:]
+    analytic = conv2d_weight_grad(h_prev.data, g_norm / sigma, kh, kw,
+                                  **CONV_GEOMETRY)
     return grads[layer], analytic
 
 

@@ -41,7 +41,9 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
 
     `y` is ignored for the kl_to_clean loss, which pushes the attacked
     branch's predictive distribution away from its clean-input one.
-    Returns a detached array; BN running statistics are never updated.
+    Each step differentiates toward the input only, so no parameter
+    gradient is computed. Returns a detached array; BN running
+    statistics are never updated.
     """
     x = np.asarray(x, dtype=model.config.np_dtype())
     if cfg.epsilon == 0.0:
@@ -64,7 +66,7 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
             loss = softmax_cross_entropy(logits, y)
         else:
             loss = kl_div_logits(logits, clean_logits)
-        loss.backward()
+        loss.backward(inputs=(xt,))
         x_adv = project_linf(x_adv + cfg.alpha * np.sign(xt.grad), x,
                              cfg.epsilon)
     return x_adv

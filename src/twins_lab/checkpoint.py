@@ -16,6 +16,8 @@ from .network import MiniCNN, ModelConfig
 MAGIC = b"TWINSCKP"
 VERSION = 1
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
+_CONFIG_KEYS = ("input_shape", "widths", "target_classes", "source_classes",
+                "dtype", "bn_eps", "bn_momentum")
 
 
 class CheckpointError(ValueError):
@@ -67,24 +69,41 @@ def load_tensors(path):
     header_end = 12 + header_len
     if header_end > len(blob):
         raise CheckpointError("truncated checkpoint header")
-    header = json.loads(blob[12:header_end].decode("utf-8"))
+    try:
+        header = json.loads(blob[12:header_end].decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("version") != VERSION:
         raise BadVersionError(
             f"unsupported checkpoint version: {header.get('version')}")
+    records = header.get("tensors")
+    if not isinstance(records, list) or "metadata" not in header:
+        raise CheckpointError("checkpoint header lacks tensors or metadata")
     payload = blob[header_end:]
     tensors = {}
-    for rec in header["tensors"]:
-        start, length = rec["offset"], rec["length"]
+    for rec in records:
+        try:
+            name, shape, dtype, start, length = (
+                rec[k] for k in ("name", "shape", "dtype", "offset", "length"))
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"malformed tensor record in checkpoint header: {rec!r}"
+            ) from exc
+        if dtype not in _DTYPES:
+            raise CheckpointError(
+                f"tensor {name!r} has unknown dtype {dtype!r}")
         if start < 0 or start + length > len(payload):
             raise PayloadBoundsError(
-                f"tensor {rec['name']!r} lies outside the payload")
+                f"tensor {name!r} lies outside the payload")
         arr = np.frombuffer(payload[start:start + length],
-                            dtype=_DTYPES[rec["dtype"]])
-        expected = int(np.prod(rec["shape"])) if rec["shape"] else 1
+                            dtype=_DTYPES[dtype])
+        expected = int(np.prod(shape)) if shape else 1
         if arr.size != expected:
             raise PayloadBoundsError(
-                f"tensor {rec['name']!r} has inconsistent size")
-        tensors[rec["name"]] = arr.reshape(rec["shape"]).copy()
+                f"tensor {name!r} has inconsistent size")
+        tensors[name] = arr.reshape(shape).copy()
     return tensors, header["metadata"]
 
 
@@ -103,7 +122,12 @@ def save_checkpoint(path, model, metadata=None):
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint; returns (model, metadata)."""
     tensors, meta = load_tensors(path)
-    mc = meta["model_config"]
+    mc = meta.get("model_config") if isinstance(meta, dict) else None
+    if not isinstance(mc, dict):
+        raise CheckpointError("checkpoint metadata has no model_config")
+    missing = [k for k in _CONFIG_KEYS if k not in mc]
+    if missing:
+        raise CheckpointError(f"checkpoint model_config misses {missing}")
     cfg = ModelConfig(
         input_shape=tuple(mc["input_shape"]), widths=tuple(mc["widths"]),
         target_classes=mc["target_classes"],

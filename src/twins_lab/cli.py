@@ -61,8 +61,10 @@ def _cmd_finetune(args):
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
+    target = load_dataset(cfg.target_data)
     for seed in seeds:
-        _, history = run_finetune(cfg, pretrained, seed, out_dir=cfg.out_dir,
+        _, history = run_finetune(cfg, pretrained, seed, target,
+                                  out_dir=cfg.out_dir,
                                   tag=cfg.finetune.method)
         print(f"seed {seed}: clean {history[-1].clean_acc:.3f}, "
               f"pgd {history[-1].pgd_acc:.3f}")

@@ -154,9 +154,13 @@ def run_pretrain(cfg, out_dir=None):
     return model, history
 
 
-def run_finetune(cfg, pretrained, seed, out_dir=None, tag=""):
-    """Warmup (optional) plus fine-tuning for one seed."""
-    train, val = load_dataset(cfg.target_data)
+def run_finetune(cfg, pretrained, seed, target, out_dir=None, tag=""):
+    """Warmup (optional) plus fine-tuning for one seed.
+
+    `target` is the (train, val) pair `load_dataset(cfg.target_data)`
+    returns; it is only read, so one load can serve every seed.
+    """
+    train, val = target
     ft = dataclasses.replace(cfg.finetune, seed=seed)
     model = make_finetune_model(pretrained, cfg.model.target_classes,
                                 seed=seed)
@@ -207,13 +211,13 @@ def run_experiment(config_path, seed_override=None, out_override=None,
                                  bn_eps=cfg.model.bn_eps,
                                  bn_momentum=cfg.model.bn_momentum),
                              rng=np.random.default_rng(cfg.finetune.seed))
+    target = load_dataset(cfg.target_data)
     results = {}
     for seed in cfg.seeds:
-        model, history = run_finetune(cfg, pretrained, seed,
+        model, history = run_finetune(cfg, pretrained, seed, target,
                                       out_dir=cfg.out_dir)
-        _, val = load_dataset(cfg.target_data)
         attack = cfg.eval_attack or cfg.finetune.attack
-        clean, robust = evaluate(model, val, attack,
+        clean, robust = evaluate(model, target[1], attack,
                                  rng=np.random.default_rng(seed + 104729))
         results[seed] = {"clean_acc": clean, "pgd_acc": robust}
     with open(os.path.join(cfg.out_dir, "summary.json"), "w",

@@ -14,6 +14,9 @@ import numpy as np
 
 from .tensor import ParamStore, Tensor, conv2d, global_avg_pool, relu
 
+# stride and zero padding of every MiniCNN convolution
+CONV_GEOMETRY = {"stride": 2, "pad": 1}
+
 
 class BranchMode(Enum):
     ADAPTIVE_TRAIN = "adaptive"
@@ -169,7 +172,7 @@ class MiniCNN:
             update_running = mode is BranchMode.ADAPTIVE_TRAIN
         h = x
         for i, state in enumerate(self.bn, start=1):
-            pre = conv2d(h, self.params[f"conv{i}"], stride=2, pad=1)
+            pre = conv2d(h, self.params[f"conv{i}"], **CONV_GEOMETRY)
             if capture is not None:
                 capture[f"bn{i}.in"] = h
                 capture[f"bn{i}.pre"] = pre

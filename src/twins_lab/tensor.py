@@ -5,6 +5,14 @@ float64 for verification). Operations record their inputs and a backward
 closure on the output node; ``backward`` replays the closures in reverse
 topological order. Only nodes on a path to a gradient-requiring leaf are
 recorded, so constant subgraphs cost nothing at backward time.
+
+A reverse pass differentiates toward a set of tensors: the loss's
+ancestors that descend from one of them get a zeroed ``.grad`` buffer
+and run their closure; every other graph node's ``.grad`` is None, and a
+closure adds into an operand only when that operand has a buffer.
+``backward()`` alone differentiates toward every gradient-requiring
+leaf; ``backprop`` asks for the named parameters and ``pgd_attack`` for
+its input, so an attack step never computes a parameter gradient.
 """
 
 import numpy as np
@@ -77,8 +85,13 @@ class Tensor:
             out._backward = backward
         return out
 
-    def backward(self):
-        """Accumulate d(self)/d(node) into `.grad` over the whole graph."""
+    def backward(self, inputs=None):
+        """Accumulate d(self)/d(node) into `.grad` of the graph's nodes.
+
+        With `inputs`, only nodes on a path from one of those tensors to
+        `self` get a buffer and run their closure; every other graph
+        node's `.grad` is set to None. Without it, every node does.
+        """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss node")
         topo = []
@@ -94,11 +107,20 @@ class Tensor:
             elif id(child) not in visited:
                 visited.add(id(child))
                 stack.append((child, iter(child._prev)))
+        wanted = None if inputs is None else {id(t) for t in inputs}
+        # topo lists every node after its operands, so their buffers
+        # are already decided when the node's own is
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            if (wanted is None or id(node) in wanted
+                    or any(p.grad is not None for p in node._prev)):
+                node.grad = np.zeros_like(node.data)
+            else:
+                node.grad = None
+        if self.grad is None:
+            return
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
+            if node.grad is not None and node._backward is not None:
                 node._backward()
 
     # -- elementwise arithmetic ------------------------------------------
@@ -112,9 +134,9 @@ class Tensor:
         a, b = self, other
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += _unbroadcast(out.grad, a.data.shape)
-            if b._tracked():
+            if b.grad is not None:
                 b.grad += _unbroadcast(out.grad, b.data.shape)
 
         out = Tensor._make(a.data + b.data, (a, b), bk)
@@ -126,7 +148,7 @@ class Tensor:
         a = self
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad -= out.grad
 
         out = Tensor._make(-a.data, (a,), bk)
@@ -143,9 +165,9 @@ class Tensor:
         a, b = self, other
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
-            if b._tracked():
+            if b.grad is not None:
                 b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
 
         out = Tensor._make(a.data * b.data, (a, b), bk)
@@ -158,9 +180,9 @@ class Tensor:
         a, b = self, other
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += _unbroadcast(out.grad / b.data, a.data.shape)
-            if b._tracked():
+            if b.grad is not None:
                 b.grad += _unbroadcast(-out.grad * a.data / (b.data * b.data),
                                        b.data.shape)
 
@@ -173,7 +195,7 @@ class Tensor:
         a = self
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += out.grad * p * a.data ** (p - 1)
 
         out = Tensor._make(a.data ** p, (a,), bk)
@@ -184,7 +206,7 @@ class Tensor:
         val = np.sqrt(a.data)
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 # subgradient at exactly 0 is defined as 0
                 safe = np.where(val > 0, val, 1.0)
                 a.grad += np.where(val > 0, out.grad / (2.0 * safe), 0.0)
@@ -197,7 +219,7 @@ class Tensor:
         val = np.exp(a.data)
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += out.grad * val
 
         out = Tensor._make(val, (a,), bk)
@@ -207,7 +229,7 @@ class Tensor:
         a = self
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += out.grad / a.data
 
         out = Tensor._make(np.log(a.data), (a,), bk)
@@ -222,7 +244,7 @@ class Tensor:
         old = a.data.shape
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += out.grad.reshape(old)
 
         out = Tensor._make(a.data.reshape(shape), (a,), bk)
@@ -233,7 +255,7 @@ class Tensor:
         val = a.data.sum(axis=axis, keepdims=keepdims)
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 g = out.grad
                 if not keepdims and axis is not None:
                     ax = axis if isinstance(axis, tuple) else (axis,)
@@ -261,7 +283,7 @@ class Tensor:
         mask = a.data > 0
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += out.grad * mask
 
         out = Tensor._make(np.where(mask, a.data, 0.0), (a,), bk)
@@ -277,9 +299,9 @@ class Tensor:
                 f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
 
         def bk():
-            if a._tracked():
+            if a.grad is not None:
                 a.grad += out.grad @ b.data.T
-            if b._tracked():
+            if b.grad is not None:
                 b.grad += a.data.T @ out.grad
 
         out = Tensor._make(a.data @ b.data, (a, b), bk)
@@ -355,9 +377,9 @@ def conv2d(x, k, stride=1, pad=0):
     a, b = x, k
 
     def bk():
-        if b._tracked():
+        if b.grad is not None:
             b.grad += conv2d_weight_grad(a.data, out.grad, kh, kw, stride, pad)
-        if a._tracked():
+        if a.grad is not None:
             a.grad += _conv2d_input_grad(out.grad, b.data, a.data.shape,
                                          stride, pad)
 
@@ -394,7 +416,7 @@ def softmax_cross_entropy(logits, labels):
     a = logits
 
     def bk():
-        if a._tracked():
+        if a.grad is not None:
             g = np.exp(ls)
             g[np.arange(n), labels] -= 1.0
             a.grad += out.grad * g / n
@@ -416,9 +438,9 @@ def kl_div_logits(p_logits, q_logits):
     a, b = p_logits, q_logits
 
     def bk():
-        if a._tracked():
+        if a.grad is not None:
             a.grad += out.grad / n * p * ((lp - lq) - row_kl[:, None])
-        if b._tracked():
+        if b.grad is not None:
             b.grad += out.grad / n * (np.exp(lq) - p)
 
     out = Tensor._make(np.asarray(val, dtype=p_logits.data.dtype), (a, b), bk)
@@ -463,15 +485,17 @@ class ParamStore:
 def backprop(loss, params, names=None):
     """Run reverse mode from a scalar loss; return a name->gradient map.
 
-    Parameters absent from the loss graph get an explicit zero gradient.
+    The pass differentiates toward the named parameters (all by default)
+    only. Parameters absent from the loss graph get an explicit zero
+    gradient.
     """
     if loss.data.size != 1:
         raise ShapeError("backprop requires a scalar loss")
     for _, p in params.items():
         p.grad = None  # drop stale gradients from earlier passes
-    loss.backward()
     if names is None:
         names = params.names()
+    loss.backward(inputs=[params[name] for name in names])
     grads = {}
     for name in names:
         p = params[name]

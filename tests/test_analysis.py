@@ -4,6 +4,7 @@ import pytest
 from twins_lab.analysis import (evaluate, frozen_grad_formula_check,
                                 grad_norm_epoch_stats, overfitting_gap,
                                 scale_probe, weight_distance)
+from twins_lab import network
 from twins_lab.attack import AttackConfig
 from twins_lab.network import MiniCNN, ModelConfig
 
@@ -114,6 +115,22 @@ def test_frozen_grad_formula_on_random_model():
     assert auto.shape == analytic.shape
     denom = max(np.abs(analytic).max(), 1e-12)
     assert np.abs(auto - analytic).max() / denom <= 1e-9
+
+
+def test_frozen_grad_formula_follows_network_geometry(monkeypatch):
+    # 1x1 kernels at stride 1: the check must take its kernel size from
+    # the kernel and its stride and padding from the network
+    monkeypatch.setitem(network.CONV_GEOMETRY, "stride", 1)
+    model = _model(seed=5)
+    rng = np.random.default_rng(6)
+    for name in model.conv_names():
+        o, c = model.params[name].data.shape[:2]
+        model.params[name].data = rng.normal(size=(o, c, 1, 1))
+    for layer in model.conv_names():
+        auto, analytic = frozen_grad_formula_check(model, layer,
+                                                   _batch(seed=7))
+        denom = max(np.abs(analytic).max(), 1e-12)
+        assert np.abs(auto - analytic).max() / denom <= 1e-9
 
 
 def test_evaluate_chance_level_on_random_labels():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from twins_lab import tensor
 from twins_lab.attack import AttackConfig, pgd_attack, project_linf
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig
-from twins_lab.tensor import Tensor, softmax_cross_entropy
+from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
+                              kl_div_logits, softmax_cross_entropy)
 
 
 class LinearSoftmaxModel:
@@ -179,3 +181,85 @@ def test_kl_attack_moves_away_from_clean_prediction():
     _, pert = model.forward(adv, BranchMode.INFERENCE)
     # the attacked logits must actually have moved
     assert np.abs(pert.data - clean.data).max() > 1e-4
+
+
+def _attack_loss(model, xt, x, y, branch, loss_kind):
+    """The objective one pgd_attack step differentiates."""
+    _, logits = model.forward(xt, branch, update_running=False)
+    if loss_kind == "ce":
+        return softmax_cross_entropy(logits, y)
+    _, clean = model.forward(Tensor(x), branch, update_running=False)
+    return kl_div_logits(logits, Tensor(clean.data.copy()))
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "kl_to_clean"])
+@pytest.mark.parametrize("branch", list(BranchMode))
+def test_input_only_pass_matches_full_pass_bitwise(branch, loss_kind):
+    model = _mini_model(seed=9)
+    rng = np.random.default_rng(10)
+    x = rng.uniform(size=(4, 3, 8, 8))
+    y = rng.integers(0, 3, size=4)
+    xt = Tensor(np.clip(x + rng.uniform(-0.05, 0.05, size=x.shape), 0, 1),
+                requires_grad=True)
+    loss = _attack_loss(model, xt, x, y, branch, loss_kind)
+    loss.backward()
+    full = xt.grad.copy()
+    assert np.abs(full).max() > 0.0
+    loss.backward(inputs=(xt,))
+    assert np.array_equal(xt.grad, full)
+    for name, p in model.params.items():
+        assert p.grad is None, name
+
+
+def test_attack_computes_no_kernel_gradient(monkeypatch):
+    calls = []
+    original = tensor.conv2d_weight_grad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "conv2d_weight_grad", counting)
+    model = _mini_model()
+    rng = np.random.default_rng(11)
+    x = rng.uniform(size=(4, 3, 8, 8))
+    y = rng.integers(0, 3, size=4)
+    for branch in BranchMode:
+        for loss_kind in ("ce", "kl_to_clean"):
+            cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=3,
+                               loss_kind=loss_kind)
+            pgd_attack(model, branch, x, y, cfg,
+                       rng=np.random.default_rng(0))
+    assert calls == []
+    _, logits = model.forward(x, BranchMode.ADAPTIVE_TRAIN,
+                              update_running=False)
+    backprop(softmax_cross_entropy(logits, y), model.params)
+    assert len(calls) == len(model.conv_names())
+
+
+def test_backprop_after_attack_matches_finite_diff():
+    cfg = ModelConfig(input_shape=(2, 6, 6), widths=(3, 4),
+                      target_classes=3, dtype="float64")
+    model = MiniCNN(cfg, rng=np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    x = rng.uniform(size=(4, 2, 6, 6))
+    y = rng.integers(0, 3, size=4)
+    adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y,
+                     AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=2),
+                     rng=np.random.default_rng(0))
+
+    def loss():
+        _, logits = model.forward(adv, BranchMode.ADAPTIVE_TRAIN,
+                                  update_running=False)
+        return softmax_cross_entropy(logits, y)
+
+    grads = backprop(loss(), model.params)
+    fd = finite_diff_grad(lambda: loss().item(), model.params)
+    live = 0
+    for name in model.params.names():
+        mask = np.abs(grads[name]) > 1e-8
+        live += int(mask.sum())
+        rel = (np.abs(grads[name] - fd[name])
+               / np.maximum(np.abs(fd[name]), 1e-12))
+        assert rel[mask].max(initial=0.0) <= 1e-4, name
+    assert live > 0

@@ -8,6 +8,7 @@ from twins_lab.checkpoint import (MAGIC, BadMagicError, BadVersionError,
                                   CheckpointError, PayloadBoundsError,
                                   load_checkpoint, load_tensors,
                                   save_checkpoint, save_tensors)
+from twins_lab.cli import main
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig
 
 
@@ -126,3 +127,79 @@ def test_missing_model_tensor(tmp_path):
     save_tensors(path, tensors, meta)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _write_raw(path, header, payload=b""):
+    raw = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+
+
+def _drop_model_config(header):
+    del header["metadata"]["model_config"]
+
+
+def _drop_model_config_key(header):
+    del header["metadata"]["model_config"]["bn_eps"]
+
+
+def _drop_tensor_list(header):
+    del header["tensors"]
+
+
+def _drop_metadata(header):
+    del header["metadata"]
+
+
+def _unknown_dtype(header):
+    header["tensors"][0]["dtype"] = "float16"
+
+
+def _drop_record_field(header):
+    del header["tensors"][0]["offset"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_model_config, _drop_model_config_key, _drop_tensor_list,
+    _drop_metadata, _unknown_dtype, _drop_record_field])
+def test_eval_reports_malformed_header_as_error(tmp_path, capsys, corrupt):
+    good = str(tmp_path / "good.ckpt")
+    save_checkpoint(good, _model())
+    with open(good, "rb") as fh:
+        blob = fh.read()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + header_len])
+    corrupt(header)
+    bad = str(tmp_path / "bad.ckpt")
+    _write_raw(bad, header, blob[12 + header_len:])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({"out_dir": str(tmp_path / "out"),
+                   "model": {"input_shape": [3, 8, 8], "widths": [4, 6],
+                             "target_classes": 3},
+                   "target_data": {"source": "synthetic", "classes": 3,
+                                   "image_shape": [3, 8, 8],
+                                   "per_class": 4},
+                   "finetune": {"method": "std"}}, fh)
+    capsys.readouterr()
+    assert main(["eval", cfg, "--checkpoint", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_object_header(tmp_path):
+    path = str(tmp_path / "list.ckpt")
+    _write_raw(path, [1, 2, 3])
+    with pytest.raises(CheckpointError):
+        load_tensors(path)
+
+
+def test_undecodable_header(tmp_path):
+    path = str(tmp_path / "junk.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", 4) + b"\xff\xfe{[")
+    with pytest.raises(CheckpointError):
+        load_tensors(path)

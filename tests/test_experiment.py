@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from twins_lab import cli, experiment
 from twins_lab.cli import main
 from twins_lab.experiment import (METRICS_HEADER, ConfigError,
                                   ExperimentConfig, parse_train_config,
@@ -175,3 +176,42 @@ def test_cli_rejects_bad_config(tmp_path):
 
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 1
+
+
+def _artifacts(out):
+    blobs = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            blobs[name] = fh.read()
+    return blobs
+
+
+def test_cli_loads_target_data_once_per_command(tmp_path, monkeypatch):
+    cfg = _base_config("ignored")
+    cfg["seeds"] = [0, 1]
+    cfg["finetune"].update(method="twins-at", epochs=1, warmup_epochs=1)
+    cfg["source_data"] = dict(cfg["target_data"], per_class=16, seed=5)
+    cfg["pretrain"] = dict(cfg["finetune"], method="std", warmup_epochs=0)
+    path = _write_config(tmp_path, cfg)
+    # run loads source and target data, finetune the target data
+    commands = ((["run", path], 2), (["finetune", path, "--method", "at"], 1))
+    for cmd, _ in commands:
+        assert main(cmd + ["--out", str(tmp_path / "fresh")]) == 0
+
+    calls = []
+    load = experiment.load_dataset
+
+    def read_only(spec):
+        calls.append(spec)
+        pairs = load(spec)
+        for arr in (a for pair in pairs for a in pair):
+            arr.flags.writeable = False  # any write into shared data fails
+        return pairs
+
+    monkeypatch.setattr(experiment, "load_dataset", read_only)
+    monkeypatch.setattr(cli, "load_dataset", read_only)
+    for cmd, loads in commands:
+        calls.clear()
+        assert main(cmd + ["--out", str(tmp_path / "once")]) == 0
+        assert len(calls) == loads
+    assert _artifacts(tmp_path / "once") == _artifacts(tmp_path / "fresh")

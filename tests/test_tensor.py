@@ -234,6 +234,46 @@ def test_replay_is_bitwise_deterministic():
         assert np.array_equal(g1[name], g2[name])
 
 
+def test_backward_toward_input_prunes_parameter_buffers():
+    rng = np.random.default_rng(8)
+    ps = ParamStore()
+    ps.add("w1", rng.normal(size=(5, 7)))
+    ps.add("w2", rng.normal(size=(7, 3)))
+    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    y = rng.integers(0, 3, size=4)
+    hidden = relu(x @ ps["w1"])
+    loss = softmax_cross_entropy(hidden @ ps["w2"], y)
+    loss.backward()
+    full = x.grad.copy()
+    loss.backward(inputs=(x,))
+    assert np.array_equal(x.grad, full)
+    assert hidden.grad is not None
+    assert ps["w1"].grad is None and ps["w2"].grad is None
+
+
+def test_backward_toward_unreached_tensor_leaves_no_buffer():
+    ps = ParamStore()
+    w = ps.add("w", np.ones(3))
+    x = Tensor(np.ones(3), requires_grad=True)
+    loss = (w * 2.0).sum()
+    loss.backward(inputs=(x,))
+    assert loss.grad is None and w.grad is None and x.grad is None
+
+
+def test_backprop_single_name_matches_full_map_bitwise():
+    rng = np.random.default_rng(9)
+    ps = ParamStore()
+    ps.add("w1", rng.normal(size=(5, 7)))
+    ps.add("w2", rng.normal(size=(7, 3)))
+    x = rng.normal(size=(4, 5))
+    y = rng.integers(0, 3, size=4)
+    full = backprop(_two_layer_loss(ps, x, y), ps)
+    for name in ps.names():
+        one = backprop(_two_layer_loss(ps, x, y), ps, names=[name])
+        assert list(one) == [name]
+        assert np.array_equal(one[name], full[name])
+
+
 def test_paramstore_rejects_duplicates():
     ps = ParamStore()
     ps.add("w", np.ones(2))
