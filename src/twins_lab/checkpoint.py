@@ -36,6 +36,10 @@ class PayloadBoundsError(CheckpointError):
     pass
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def save_tensors(path, tensors, metadata):
     records = []
     chunks = []
@@ -91,16 +95,21 @@ def load_tensors(path):
             raise CheckpointError(
                 f"malformed tensor record in checkpoint header: {rec!r}"
             ) from exc
+        if not (isinstance(name, str) and isinstance(dtype, str)
+                and isinstance(shape, list) and all(map(_is_int, shape))
+                and _is_int(start) and _is_int(length)):
+            raise CheckpointError(
+                f"tensor record has a field of the wrong type: {rec!r}")
         if dtype not in _DTYPES:
             raise CheckpointError(
                 f"tensor {name!r} has unknown dtype {dtype!r}")
-        if start < 0 or start + length > len(payload):
+        if start < 0 or length < 0 or start + length > len(payload):
             raise PayloadBoundsError(
                 f"tensor {name!r} lies outside the payload")
         arr = np.frombuffer(payload[start:start + length],
                             dtype=_DTYPES[dtype])
         expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
+        if min(shape, default=0) < 0 or arr.size != expected:
             raise PayloadBoundsError(
                 f"tensor {name!r} has inconsistent size")
         tensors[name] = arr.reshape(shape).copy()
@@ -138,4 +147,6 @@ def load_checkpoint(path):
         model.load_state_dict(tensors)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint misses tensor {exc}") from exc
+    except ValueError as exc:  # a tensor of the wrong shape
+        raise CheckpointError(f"checkpoint tensor mismatch: {exc}") from exc
     return model, meta

@@ -112,7 +112,7 @@ def build_parser():
         description="Dual-branch batch-norm adversarial fine-tuning lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         return p
@@ -131,8 +131,7 @@ def build_parser():
             p.add_argument("--method", default=None,
                            help="override the fine-tuning method")
         if name in ("finetune", "eval"):
-            p.add_argument("--checkpoint",
-                           default=None if name == "finetune" else None,
+            p.add_argument("--checkpoint", default=None,
                            required=(name == "eval"),
                            help="checkpoint path")
     p = add("analyze", _cmd_analyze)

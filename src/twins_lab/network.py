@@ -12,10 +12,14 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import ParamStore, Tensor, conv2d, global_avg_pool, relu
+from .tensor import (ParamStore, Tensor, batch_norm, batch_norm_fixed, conv2d,
+                     global_avg_pool)
 
 # stride and zero padding of every MiniCNN convolution
 CONV_GEOMETRY = {"stride": 2, "pad": 1}
+
+# per-channel statistic arrays of every BNLayerState, in checkpoint order
+_BN_STATS = ("running_mean", "running_var", "frozen_mean", "frozen_var")
 
 
 class BranchMode(Enum):
@@ -60,41 +64,25 @@ class BNLayerState:
         self.frozen_var = np.ones(channels, dtype)
 
 
-def _affine(xn, gamma, beta):
-    c = gamma.shape[0]
-    return xn * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
-
-
-def _normalize_const(x, mean, var, eps):
-    c = mean.shape[0]
-    m = Tensor(mean.reshape(1, c, 1, 1))
-    s = Tensor(np.sqrt(var + eps).reshape(1, c, 1, 1))
-    return (x - m) / s
-
-
 def bn_forward(x, state, mode):
     """Normalize `x` per channel according to the branch mode.
 
     Returns (y, batch_stats); batch_stats is a (mean, var) pair of plain
-    arrays in ADAPTIVE_TRAIN mode and None otherwise. Never mutates the
-    state; committing batch stats is `bn_update_running`'s job.
+    arrays in ADAPTIVE_TRAIN mode and None otherwise. Each branch records
+    one graph node. Never mutates the state; committing batch stats is
+    `bn_update_running`'s job.
     """
     if mode is BranchMode.ADAPTIVE_TRAIN:
         if x.shape[0] < 2:
             raise ValueError("adaptive BN needs a batch of at least 2")
-        m = x.mean(axis=(0, 2, 3), keepdims=True)
-        v = ((x - m) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-        xn = (x - m) / (v + state.eps).sqrt()
-        y = _affine(xn, state.gamma_a, state.beta_a)
-        stats = (m.data.reshape(-1).copy(), v.data.reshape(-1).copy())
-        return y, stats
+        y, mean, var = batch_norm(x, state.gamma_a, state.beta_a, state.eps)
+        return y, (mean, var)
     if mode is BranchMode.FROZEN_TRAIN:
-        xn = _normalize_const(x, state.frozen_mean, state.frozen_var, state.eps)
-        return _affine(xn, state.gamma_f, state.beta_f), None
+        return batch_norm_fixed(x, state.frozen_mean, state.frozen_var,
+                                state.gamma_f, state.beta_f, state.eps), None
     if mode is BranchMode.INFERENCE:
-        xn = _normalize_const(x, state.running_mean, state.running_var,
-                              state.eps)
-        return _affine(xn, state.gamma_a, state.beta_a), None
+        return batch_norm_fixed(x, state.running_mean, state.running_var,
+                                state.gamma_a, state.beta_a, state.eps), None
     raise ValueError(f"unknown branch mode: {mode!r}")
 
 
@@ -181,7 +169,7 @@ class MiniCNN:
                 capture[f"bn{i}.out"] = y
             if mode is BranchMode.ADAPTIVE_TRAIN and update_running:
                 bn_update_running(state, stats)
-            h = relu(y)
+            h = y.relu()
         features = global_avg_pool(h)
         logits = features @ self.params[wname] + self.params[bname]
         return features, logits
@@ -189,13 +177,8 @@ class MiniCNN:
     # -- state handling --------------------------------------------------
 
     def stat_arrays(self):
-        out = {}
-        for state in self.bn:
-            out[f"{state.prefix}.running_mean"] = state.running_mean
-            out[f"{state.prefix}.running_var"] = state.running_var
-            out[f"{state.prefix}.frozen_mean"] = state.frozen_mean
-            out[f"{state.prefix}.frozen_var"] = state.frozen_var
-        return out
+        return {f"{state.prefix}.{stat}": getattr(state, stat)
+                for state in self.bn for stat in _BN_STATS}
 
     def state_dict(self):
         """All tensors (parameters and statistics) as plain arrays."""
@@ -210,15 +193,15 @@ class MiniCNN:
                 raise ValueError(f"shape mismatch for {name!r}")
             t.data = arr.copy()
         for state in self.bn:
-            p = state.prefix
-            state.running_mean = tensors[f"{p}.running_mean"].astype(
-                state.running_mean.dtype).copy()
-            state.running_var = tensors[f"{p}.running_var"].astype(
-                state.running_var.dtype).copy()
-            state.frozen_mean = tensors[f"{p}.frozen_mean"].astype(
-                state.frozen_mean.dtype).copy()
-            state.frozen_var = tensors[f"{p}.frozen_var"].astype(
-                state.frozen_var.dtype).copy()
+            for stat in _BN_STATS:
+                name = f"{state.prefix}.{stat}"
+                arr = np.asarray(tensors[name],
+                                 dtype=getattr(state, stat).dtype)
+                if arr.shape != (state.channels,):
+                    raise ValueError(
+                        f"shape mismatch for {name!r}: {arr.shape}, "
+                        f"expected ({state.channels},)")
+                setattr(state, stat, arr.copy())
 
     def trainable_names(self, method="at"):
         """Parameters touched by a training method.

@@ -65,9 +65,6 @@ class Tensor:
     def _tracked(self):
         return self.requires_grad or bool(self._prev)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def item(self):
         return float(self.data)
 
@@ -214,27 +211,6 @@ class Tensor:
         out = Tensor._make(val, (a,), bk)
         return out
 
-    def exp(self):
-        a = self
-        val = np.exp(a.data)
-
-        def bk():
-            if a.grad is not None:
-                a.grad += out.grad * val
-
-        out = Tensor._make(val, (a,), bk)
-        return out
-
-    def log(self):
-        a = self
-
-        def bk():
-            if a.grad is not None:
-                a.grad += out.grad / a.data
-
-        out = Tensor._make(np.log(a.data), (a,), bk)
-        return out
-
     # -- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
@@ -286,7 +262,7 @@ class Tensor:
             if a.grad is not None:
                 a.grad += out.grad * mask
 
-        out = Tensor._make(np.where(mask, a.data, 0.0), (a,), bk)
+        out = Tensor._make(np.maximum(a.data, 0), (a,), bk)
         return out
 
     def __matmul__(self, other):
@@ -308,14 +284,6 @@ class Tensor:
         return out
 
 
-def matmul(a, b):
-    return a @ b
-
-
-def relu(x):
-    return x.relu()
-
-
 # -- convolution ---------------------------------------------------------
 
 
@@ -333,9 +301,12 @@ def _im2col(x, kh, kw, stride, pad):
 
 
 def _conv2d_forward(x, k, stride, pad):
-    cols, ho, wo = _im2col(x, k.shape[2], k.shape[3], stride, pad)
-    out = np.tensordot(cols, k, axes=([1, 2, 3], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), cols
+    o, c, kh, kw = k.shape
+    cols, ho, wo = _im2col(x, kh, kw, stride, pad)
+    # (O, C*kh*kw) @ (N, C*kh*kw, Ho*Wo) -> (N, O, Ho*Wo), already NCHW
+    out = np.matmul(k.reshape(o, c * kh * kw),
+                    cols.reshape(x.shape[0], c * kh * kw, ho * wo))
+    return out.reshape(x.shape[0], o, ho, wo)
 
 
 def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad):
@@ -346,18 +317,19 @@ def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad):
 
 def _conv2d_input_grad(grad_out, k, x_shape, stride, pad):
     n, c, h, w = x_shape
-    _, _, kh, kw = k.shape
+    o, _, kh, kw = k.shape
     ho, wo = grad_out.shape[2], grad_out.shape[3]
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    # gk[n,c,u,v,i,j] = sum_o grad_out[n,o,i,j] * k[o,c,u,v]
-    gk = np.tensordot(grad_out, k, axes=([1], [0])).transpose(0, 3, 4, 5, 1, 2)
+    # gk[u,v,c,i,j,n] = sum_o k[o,c,u,v] * grad_out[n,o,i,j]; batch-last,
+    # so each strided add below runs over contiguous blocks of N
+    gk = np.matmul(k.transpose(2, 3, 1, 0).reshape(kh * kw * c, o),
+                   grad_out.transpose(1, 2, 3, 0).reshape(o, ho * wo * n))
+    gk = gk.reshape(kh, kw, c, ho, wo, n)
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=grad_out.dtype)
     for u in range(kh):
         for v in range(kw):
-            dxp[:, :, u:u + ho * stride:stride,
-                v:v + wo * stride:stride] += gk[:, :, u, v]
-    if pad:
-        dxp = dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+            dxp[:, u:u + ho * stride:stride,
+                v:v + wo * stride:stride] += gk[u, v]
+    return dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
 
 
 def conv2d(x, k, stride=1, pad=0):
@@ -373,7 +345,7 @@ def conv2d(x, k, stride=1, pad=0):
         raise ShapeError("kernel larger than padded input")
     if stride < 1:
         raise ShapeError("stride must be >= 1")
-    val, _ = _conv2d_forward(x.data, k.data, stride, pad)
+    val = _conv2d_forward(x.data, k.data, stride, pad)
     a, b = x, k
 
     def bk():
@@ -392,6 +364,79 @@ def global_avg_pool(x):
     if x.data.ndim != 4:
         raise ShapeError("global_avg_pool expects NCHW input")
     return x.mean(axis=(2, 3))
+
+
+# -- batch normalization -------------------------------------------------
+#
+# Each op is one graph node with a closed-form backward (Ioffe & Szegedy
+# 2015, arXiv 1502.03167). Statistics are per channel over axes (0, 2, 3)
+# of an NCHW input; gamma, beta and fixed statistics have C entries.
+
+_BN_AXES = (0, 2, 3)
+
+
+def batch_norm(x, gamma, beta, eps):
+    """Normalize with the batch's own statistics; returns (y, mean, var).
+
+    `mean` and `var` are the biased per-channel batch statistics as plain
+    (C,) arrays. The backward pass is
+    dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
+    """
+    c = x.data.shape[1]
+    inv_m = 1.0 / (x.data.size // c)
+    mean = x.data.sum(axis=_BN_AXES, keepdims=True) * inv_m
+    xhat = x.data - mean
+    var = np.square(xhat).sum(axis=_BN_AXES, keepdims=True) * inv_m
+    std = np.sqrt(var + eps)
+    xhat /= std
+    g = gamma.data.reshape(1, c, 1, 1)
+    val = xhat * g
+    val += beta.data.reshape(1, c, 1, 1)
+
+    def bk():
+        dy = out.grad
+        dy_sum = dy.sum(axis=_BN_AXES)
+        if beta.grad is not None:
+            beta.grad += dy_sum
+        dyx_sum = (dy * xhat).sum(axis=_BN_AXES)
+        if gamma.grad is not None:
+            gamma.grad += dyx_sum
+        if x.grad is not None:
+            dx = xhat * (-inv_m * dyx_sum).reshape(1, c, 1, 1)
+            dx += dy
+            dx -= (inv_m * dy_sum).reshape(1, c, 1, 1)
+            dx *= g / std
+            x.grad += dx
+
+    out = Tensor._make(val, (x, gamma, beta), bk)
+    return out, mean.reshape(c), var.reshape(c)
+
+
+def batch_norm_fixed(x, mean, var, gamma, beta, eps):
+    """Normalize with fixed statistics `mean`/`var` (plain (C,) arrays).
+
+    One affine node: y = (x - mean) / sigma * gamma + beta, so
+    dx = dy * gamma / sigma.
+    """
+    c = x.data.shape[1]
+    std = np.sqrt(var + eps).reshape(1, c, 1, 1)
+    xhat = x.data - mean.reshape(1, c, 1, 1)
+    xhat /= std
+    g = gamma.data.reshape(1, c, 1, 1)
+    val = xhat * g
+    val += beta.data.reshape(1, c, 1, 1)
+
+    def bk():
+        dy = out.grad
+        if gamma.grad is not None:
+            gamma.grad += (dy * xhat).sum(axis=_BN_AXES)
+        if beta.grad is not None:
+            beta.grad += dy.sum(axis=_BN_AXES)
+        if x.grad is not None:
+            x.grad += dy * (g / std)
+
+    out = Tensor._make(val, (x, gamma, beta), bk)
+    return out
 
 
 # -- losses --------------------------------------------------------------

@@ -159,9 +159,35 @@ def _drop_record_field(header):
     del header["tensors"][0]["offset"]
 
 
+def _string_name(header):
+    header["tensors"][0]["name"] = ["conv1"]
+
+
+def _non_list_shape(header):
+    header["tensors"][0]["shape"] = "4,3,3,3"
+
+
+def _negative_extent(header):
+    header["tensors"][0]["shape"] = [-1, -108]
+
+
+def _list_dtype(header):
+    header["tensors"][0]["dtype"] = ["float32"]
+
+
+def _string_offset(header):
+    header["tensors"][0]["offset"] = "0"
+
+
+def _string_length(header):
+    header["tensors"][0]["length"] = str(header["tensors"][0]["length"])
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_model_config, _drop_model_config_key, _drop_tensor_list,
-    _drop_metadata, _unknown_dtype, _drop_record_field])
+    _drop_metadata, _unknown_dtype, _drop_record_field, _string_name,
+    _non_list_shape, _negative_extent, _list_dtype, _string_offset,
+    _string_length])
 def test_eval_reports_malformed_header_as_error(tmp_path, capsys, corrupt):
     good = str(tmp_path / "good.ckpt")
     save_checkpoint(good, _model())
@@ -174,7 +200,21 @@ def test_eval_reports_malformed_header_as_error(tmp_path, capsys, corrupt):
     _write_raw(bad, header, blob[12 + header_len:])
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+    _assert_eval_fails(tmp_path, capsys, bad)
 
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_eval_reports_bn_stat_of_wrong_length(tmp_path, capsys, length):
+    model = _model()  # bn1 has 4 channels
+    model.bn[0].frozen_var = np.ones(length, np.float32)
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, model)
+    with pytest.raises(CheckpointError, match="bn1.frozen_var"):
+        load_checkpoint(bad)
+    _assert_eval_fails(tmp_path, capsys, bad)
+
+
+def _assert_eval_fails(tmp_path, capsys, bad):
     cfg = str(tmp_path / "cfg.json")
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump({"out_dir": str(tmp_path / "out"),

@@ -4,7 +4,7 @@ import pytest
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward, bn_update_running, copy_model,
                                make_finetune_model)
-from twins_lab.tensor import ParamStore, Tensor
+from twins_lab.tensor import ParamStore, Tensor, backprop, finite_diff_grad
 from twins_lab.training import TrainConfig, run_training
 from twins_lab.attack import AttackConfig
 
@@ -55,6 +55,64 @@ def test_adaptive_bn_rejects_singleton_batch():
     with pytest.raises(ValueError):
         bn_forward(Tensor(np.ones((1, 1, 2, 2))), state,
                    BranchMode.ADAPTIVE_TRAIN)
+
+
+def _bn_case(mode, seed=0):
+    """Float64 BN layer (3 channels) with non-trivial stats and affines,
+    its input registered as parameter "x", and a loss that weighs each
+    output element differently."""
+    rng = np.random.default_rng(seed)
+    ps = ParamStore()
+    state = BNLayerState(3, ps, "bn1", np.float64, eps=1e-3)
+    for t in (state.gamma_a, state.gamma_f):
+        t.data = rng.uniform(0.5, 2.0, size=3)
+    for t in (state.beta_a, state.beta_f):
+        t.data = rng.normal(size=3)
+    state.running_mean = rng.normal(size=3)
+    state.frozen_mean = rng.normal(size=3)
+    state.running_var = rng.uniform(0.5, 2.0, size=3)
+    state.frozen_var = rng.uniform(0.5, 2.0, size=3)
+    ps.add("x", rng.normal(1.0, 2.0, size=(4, 3, 3, 2)))
+    weights = rng.normal(size=(4, 3, 3, 2))
+
+    def loss():
+        y, _ = bn_forward(ps["x"], state, mode)
+        return (y * weights).sum()
+
+    return ps, state, loss
+
+
+def _affine_names(mode):
+    branch = "f" if mode is BranchMode.FROZEN_TRAIN else "a"
+    return [f"bn1.gamma_{branch}", f"bn1.beta_{branch}"]
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_bn_gradients_match_finite_diff(mode):
+    ps, state, loss = _bn_case(mode)
+    names = ["x"] + _affine_names(mode)
+    grads = backprop(loss(), ps, names)
+    fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
+    for name in names:
+        assert np.abs(grads[name]).max() > 1e-3
+        assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
+
+
+def test_adaptive_batch_stats_match_numpy():
+    ps, state, _ = _bn_case(BranchMode.ADAPTIVE_TRAIN, seed=1)
+    x = ps["x"].data
+    _, (mean, var) = bn_forward(ps["x"], state, BranchMode.ADAPTIVE_TRAIN)
+    assert mean.shape == var.shape == (3,)
+    assert np.allclose(mean, x.mean(axis=(0, 2, 3)), rtol=1e-14, atol=1e-15)
+    assert np.allclose(var, x.var(axis=(0, 2, 3)), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_bn_forward_records_one_node(mode):
+    ps, state, _ = _bn_case(mode)
+    y, _ = bn_forward(ps["x"], state, mode)
+    operands = [ps[name] for name in ["x"] + _affine_names(mode)]
+    assert [id(t) for t in y._prev] == [id(t) for t in operands]
 
 
 def test_running_ema_from_zero():
