@@ -129,11 +129,9 @@ def read_metrics(path):
 
 
 def _source_model_config(cfg):
-    return ModelConfig(
-        input_shape=cfg.model.input_shape, widths=cfg.model.widths,
-        target_classes=cfg.source_data.classes, source_classes=0,
-        dtype=cfg.model.dtype, bn_eps=cfg.model.bn_eps,
-        bn_momentum=cfg.model.bn_momentum)
+    return dataclasses.replace(cfg.model,
+                               target_classes=cfg.source_data.classes,
+                               source_classes=0)
 
 
 def run_pretrain(cfg, out_dir=None):
@@ -203,13 +201,8 @@ def run_experiment(config_path, seed_override=None, out_override=None,
         pretrained, _ = run_pretrain(cfg, out_dir=cfg.out_dir)
     else:
         pretrained = MiniCNN(_source_model_config(cfg) if cfg.source_data
-                             else ModelConfig(
-                                 input_shape=cfg.model.input_shape,
-                                 widths=cfg.model.widths,
-                                 target_classes=cfg.model.target_classes,
-                                 dtype=cfg.model.dtype,
-                                 bn_eps=cfg.model.bn_eps,
-                                 bn_momentum=cfg.model.bn_momentum),
+                             else dataclasses.replace(cfg.model,
+                                                      source_classes=0),
                              rng=np.random.default_rng(cfg.finetune.seed))
     target = load_dataset(cfg.target_data)
     results = {}

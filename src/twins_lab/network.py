@@ -7,7 +7,7 @@ with fixed population statistics captured before fine-tuning. Inference
 always goes through the Adaptive branch's running statistics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -235,10 +235,8 @@ def make_finetune_model(pretrained, target_classes, seed=0):
     classifier becomes the source head and a fresh target head is drawn.
     """
     cfg = pretrained.config
-    new_cfg = ModelConfig(
-        input_shape=cfg.input_shape, widths=cfg.widths,
-        target_classes=target_classes, source_classes=cfg.target_classes,
-        dtype=cfg.dtype, bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
+    new_cfg = replace(cfg, target_classes=target_classes,
+                      source_classes=cfg.target_classes)
     rng = np.random.default_rng(seed)
     model = MiniCNN(new_cfg, rng=rng)
     src = pretrained.state_dict()

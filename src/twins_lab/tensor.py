@@ -186,18 +186,6 @@ class Tensor:
         out = Tensor._make(a.data / b.data, (a, b), bk)
         return out
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-
-        def bk():
-            if a.grad is not None:
-                a.grad += out.grad * p * a.data ** (p - 1)
-
-        out = Tensor._make(a.data ** p, (a,), bk)
-        return out
-
     def sqrt(self):
         a = self
         val = np.sqrt(a.data)

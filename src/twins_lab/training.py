@@ -2,7 +2,7 @@
 
 Methods: std (clean), at, trades, twins-at, twins-trades, lwf, joint.
 Sub-batch terms are per-sub-batch means so the twins penalty weight is
-batch-size independent; `sum_mode` restores literal sub-batch sums.
+batch-size independent.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +33,6 @@ class TrainConfig:
     seed: int = 0
     attack: AttackConfig = field(default_factory=AttackConfig)
     warmup_epochs: int = 0
-    kl_clean_first: bool = False  # default argument order: (adv, clean)
-    sum_mode: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -45,6 +43,10 @@ class TrainConfig:
                      "lambda_lwf", "lambda_uot", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+
+class DivergenceError(ValueError):
+    """A training step produced a non-finite loss or gradient norm."""
 
 
 @dataclass
@@ -93,129 +95,25 @@ def sgd_update(params, grads, opt, rate, lambda_wd, momentum, names=None):
         p.data = p.data - rate * v
 
 
-def _mean_ce(model, x, y, mode, head="target", update_running=False):
-    _, logits = model.forward(x, mode, head=head,
-                              update_running=update_running)
-    return softmax_cross_entropy(logits, y)
-
-
-def _scaled(loss, count, cfg):
-    return loss * float(count) if cfg is not None and cfg.sum_mode else loss
-
-
-def compute_at_loss(model, adv_x, y, mode=BranchMode.ADAPTIVE_TRAIN,
-                    update_running=True, head="target"):
-    """Mean CE on an adversarial batch through one branch."""
-    return _mean_ce(model, adv_x, y, mode, head=head,
-                    update_running=update_running)
-
-
-def compute_twins_at_loss(model, x, y, cfg, rng=None, update_running=True,
-                          adv=None):
-    """Adaptive-branch CE on the first half plus a weighted frozen-branch
-    CE on the second half; adversarial examples come from attacking the
-    Adaptive branch over the full batch."""
-    n = len(y)
-    if n % 2 != 0:
-        raise ValueError("twins losses need an even batch")
-    if adv is None:
-        adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, cfg.attack,
-                         rng)
-    half = n // 2
-    la = _mean_ce(model, adv[:half], y[:half], BranchMode.ADAPTIVE_TRAIN,
-                  update_running=update_running)
-    lf = _mean_ce(model, adv[half:], y[half:], BranchMode.FROZEN_TRAIN)
-    return _scaled(la, half, cfg) + cfg.lambda_twins * _scaled(lf, half, cfg)
-
-
-def compute_trades_loss(model, x, y, cfg, rng=None, update_running=True,
-                        adv=None):
-    """CE on adversarial inputs plus beta-weighted KL between adversarial
-    and clean predictive distributions, single branch."""
-    if adv is None:
-        adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, cfg.attack,
-                         rng)
-    _, clean_logits = model.forward(x, BranchMode.ADAPTIVE_TRAIN,
-                                    update_running=update_running)
-    _, adv_logits = model.forward(adv, BranchMode.ADAPTIVE_TRAIN,
-                                  update_running=False)
-    ce = softmax_cross_entropy(adv_logits, y)
-    kl = (kl_div_logits(clean_logits, adv_logits) if cfg.kl_clean_first
-          else kl_div_logits(adv_logits, clean_logits))
-    return ce + cfg.beta * kl
-
-
-def compute_twins_trades_loss(model, x, y, cfg, rng=None,
-                              update_running=True, adv=None):
-    """The trades objective through the Adaptive branch on the first half
-    plus the same two terms through the Frozen branch on the second half,
-    weighted by the twins penalty."""
-    n = len(y)
-    if n % 2 != 0:
-        raise ValueError("twins losses need an even batch")
-    if adv is None:
-        adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, cfg.attack,
-                         rng)
-    half = n // 2
-
-    def wing(xc, xa, yc, mode, update):
-        _, cl = model.forward(xc, mode, update_running=update)
-        _, al = model.forward(xa, mode, update_running=False)
-        ce = softmax_cross_entropy(al, yc)
-        kl = (kl_div_logits(cl, al) if cfg.kl_clean_first
-              else kl_div_logits(al, cl))
-        return _scaled(ce, half, cfg) + cfg.beta * _scaled(kl, half, cfg)
-
-    la = wing(x[:half], adv[:half], y[:half], BranchMode.ADAPTIVE_TRAIN,
-              update_running)
-    lf = wing(x[half:], adv[half:], y[half:], BranchMode.FROZEN_TRAIN, False)
-    return la + cfg.lambda_twins * lf
-
-
 def _feature_distance(feats, feats_ref):
     d = feats - feats_ref
     sq = (d * d).sum(axis=1)
     return sq.sqrt().mean()
 
 
-def compute_lwf_loss(model, pretrained, x, y, cfg, rng=None,
-                     update_running=True, adv=None):
-    """CE on adversarial inputs plus a penalty on the Euclidean distance
-    between current and pre-trained feature vectors."""
-    if pretrained.feature_width != model.feature_width:
-        raise ValueError("feature width mismatch with the pre-trained copy")
-    if adv is None:
-        adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, cfg.attack,
-                         rng)
-    feats, logits = model.forward(adv, BranchMode.ADAPTIVE_TRAIN,
-                                  update_running=update_running)
-    ce = softmax_cross_entropy(logits, y)
-    if cfg.lambda_lwf == 0.0:
-        return ce
-    ref_feats, _ = pretrained.forward(adv, BranchMode.INFERENCE,
-                                      update_running=False)
-    reg = _feature_distance(feats, Tensor(ref_feats.data.copy()))
-    return ce + cfg.lambda_lwf * reg
-
-
-def compute_joint_loss(model, x, y, x_src, y_src, cfg, rng=None,
-                       update_running=True, adv=None):
-    """Target-task CE plus a weighted source-task CE through the source
-    head; both batches are attacked against the Adaptive branch."""
-    if "src_head.w" not in model.params:
-        raise ValueError("joint training needs a source-task head")
-    if adv is None:
-        adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, cfg.attack,
-                         rng)
-    loss = _mean_ce(model, adv, y, BranchMode.ADAPTIVE_TRAIN,
-                    update_running=update_running)
-    if cfg.lambda_uot == 0.0 or x_src is None or len(y_src) == 0:
-        return loss
-    adv_src = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x_src, y_src,
-                         cfg.attack, rng, head="source")
-    ls = _mean_ce(model, adv_src, y_src, BranchMode.ADAPTIVE_TRAIN,
-                  head="source", update_running=False)
-    return loss + cfg.lambda_uot * ls
+def _wing(model, x, adv, y, mode, cfg, update_running):
+    """One branch's loss on one (sub-)batch: mean CE on the adversarial
+    inputs, plus beta-weighted KL(adv || clean) for the trades methods.
+    Returns the loss and the adversarial features."""
+    trades = cfg.method.endswith("trades")
+    if trades:
+        _, clean = model.forward(x, mode, update_running=update_running)
+    feats, logits = model.forward(adv, mode,
+                                  update_running=update_running and not trades)
+    loss = softmax_cross_entropy(logits, y)
+    if trades:
+        loss = loss + cfg.beta * kl_div_logits(logits, clean)
+    return loss, feats
 
 
 def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
@@ -253,28 +151,58 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
                                     + momentum * var)
 
 
-def batch_loss(model, xb, yb, cfg, rng, aux=None):
-    """Dispatch one mini-batch to the configured objective."""
+def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
+               update_running=True):
+    """The objective of `cfg.method` on one mini-batch.
+
+    std is the clean CE. Every other method attacks the Adaptive branch
+    once, unless `adv` is given, and applies one wing to the batch. The
+    twins methods apply it to the first half through the Adaptive branch
+    plus, weighted by lambda_twins, to the second half through the Frozen
+    branch. lwf adds a feature-distance penalty to the pre-trained copy
+    `aux["pretrained"]`; joint adds the source-task CE on a batch from
+    `aux["source_batch"]`, attacked through the source head.
+    """
     method = cfg.method
+    if method not in METHODS:
+        raise ValueError(f"unknown training method: {method!r}")
+    twins = method.startswith("twins")
+    if twins and len(yb) % 2 != 0:
+        raise ValueError("twins losses need an even batch")
+    if method == "joint":
+        if "src_head.w" not in model.params:
+            raise ValueError("joint training needs a source-task head")
+        # drawn before the target attack, which also consumes `rng`
+        xs, ys = aux["source_batch"](len(yb))
     if method == "std":
-        return _mean_ce(model, xb, yb, BranchMode.ADAPTIVE_TRAIN,
-                        update_running=True)
-    if method == "at":
+        adv = xb
+    elif adv is None:
         adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xb, yb, cfg.attack,
                          rng)
-        return compute_at_loss(model, adv, yb)
-    if method == "trades":
-        return compute_trades_loss(model, xb, yb, cfg, rng)
-    if method == "twins-at":
-        return compute_twins_at_loss(model, xb, yb, cfg, rng)
-    if method == "twins-trades":
-        return compute_twins_trades_loss(model, xb, yb, cfg, rng)
-    if method == "lwf":
-        return compute_lwf_loss(model, aux["pretrained"], xb, yb, cfg, rng)
-    if method == "joint":
-        xs, ys = aux["source_batch"](len(yb))
-        return compute_joint_loss(model, xb, yb, xs, ys, cfg, rng)
-    raise ValueError(f"unknown training method: {method!r}")
+    if twins:
+        half = len(yb) // 2
+        la, _ = _wing(model, xb[:half], adv[:half], yb[:half],
+                      BranchMode.ADAPTIVE_TRAIN, cfg, update_running)
+        lf, _ = _wing(model, xb[half:], adv[half:], yb[half:],
+                      BranchMode.FROZEN_TRAIN, cfg, False)
+        return la + cfg.lambda_twins * lf
+    loss, feats = _wing(model, xb, adv, yb, BranchMode.ADAPTIVE_TRAIN, cfg,
+                        update_running)
+    if method == "lwf" and cfg.lambda_lwf != 0.0:
+        pretrained = aux["pretrained"]
+        if pretrained.feature_width != model.feature_width:
+            raise ValueError("feature width mismatch with the pre-trained copy")
+        ref, _ = pretrained.forward(adv, BranchMode.INFERENCE,
+                                    update_running=False)
+        loss = loss + cfg.lambda_lwf * _feature_distance(
+            feats, Tensor(ref.data.copy()))
+    if method == "joint" and cfg.lambda_uot != 0.0:
+        adv_src = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xs, ys,
+                             cfg.attack, rng, head="source")
+        _, logits = model.forward(adv_src, BranchMode.ADAPTIVE_TRAIN,
+                                  head="source", update_running=False)
+        loss = loss + cfg.lambda_uot * softmax_cross_entropy(logits, ys)
+    return loss
 
 
 def flat_grad_norm(grads, names):
@@ -323,12 +251,17 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
         order = rng.permutation(len(y_train))
         losses = []
         norms = []
-        for start in range(0, len(order) - cfg.batch + 1, cfg.batch):
+        starts = range(0, len(order) - cfg.batch + 1, cfg.batch)
+        for batch, start in enumerate(starts):
             idx = order[start:start + cfg.batch]
             loss = batch_loss(model, x_train[idx], y_train[idx], cfg, rng, aux)
             grads = backprop(loss, model.params, names)
             losses.append(loss.item())
             norms.append(flat_grad_norm(grads, names))
+            if not (np.isfinite(losses[-1]) and np.isfinite(norms[-1])):
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}, batch {batch}: "
+                    f"loss {losses[-1]}, gradient norm {norms[-1]}")
             sgd_update(model.params, grads, opt, rate, cfg.lambda_wd,
                        cfg.momentum, names)
         clean_acc, pgd_acc = evaluate(model, val_data, cfg.attack,

@@ -19,10 +19,7 @@ from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
                                make_finetune_model)
 from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
                               softmax_cross_entropy)
-from twins_lab.training import (TrainConfig, compute_at_loss,
-                                compute_joint_loss, compute_lwf_loss,
-                                compute_trades_loss, compute_twins_at_loss,
-                                compute_twins_trades_loss, run_training,
+from twins_lab.training import (TrainConfig, batch_loss, run_training,
                                 warmup_bn)
 
 
@@ -175,32 +172,25 @@ def test_criterion_5_loss_reduction_identities():
                           rand_init=False)
     adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, attack)
 
-    def cfg(method, **kw):
-        return TrainConfig(method=method, batch=8, attack=attack, **kw)
+    def loss(method, xs, ys, advs, aux=None, **kw):
+        cfg = TrainConfig(method=method, batch=8, attack=attack, **kw)
+        return batch_loss(model, xs, ys, cfg, None, aux, adv=advs,
+                          update_running=False).item()
 
-    at_half = compute_at_loss(model, adv[:4], y[:4],
-                              update_running=False).item()
-    at_full = compute_at_loss(model, adv, y, update_running=False).item()
+    at_half = loss("at", x[:4], y[:4], adv[:4])
+    at_full = loss("at", x, y, adv)
     checks = {
-        "twins-at(l=0)=at": compute_twins_at_loss(
-            model, x, y, cfg("twins-at", lambda_twins=0.0),
-            update_running=False, adv=adv).item() == at_half,
-        "trades(b=0)=at": compute_trades_loss(
-            model, x, y, cfg("trades", beta=0.0),
-            update_running=False, adv=adv).item() == at_full,
-        "twins-trades(l=0)=trades": compute_twins_trades_loss(
-            model, x, y, cfg("twins-trades", lambda_twins=0.0, beta=6.0),
-            update_running=False, adv=adv).item()
-        == compute_trades_loss(
-            model, x[:4], y[:4], cfg("trades", beta=6.0),
-            update_running=False, adv=adv[:4]).item(),
-        "lwf(l=0)=at": compute_lwf_loss(
-            model, model, x, y, cfg("lwf", lambda_lwf=0.0),
-            update_running=False, adv=adv).item() == at_full,
-        "joint(l=0)=at": compute_joint_loss(
-            model, x, y, None, np.array([], dtype=int),
-            cfg("joint", lambda_uot=0.0),
-            update_running=False, adv=adv).item() == at_full,
+        "twins-at(l=0)=at": loss("twins-at", x, y, adv,
+                                 lambda_twins=0.0) == at_half,
+        "trades(b=0)=at": loss("trades", x, y, adv, beta=0.0) == at_full,
+        "twins-trades(l=0)=trades": loss(
+            "twins-trades", x, y, adv, lambda_twins=0.0, beta=6.0)
+        == loss("trades", x[:4], y[:4], adv[:4], beta=6.0),
+        "lwf(l=0)=at": loss("lwf", x, y, adv, {"pretrained": model},
+                            lambda_lwf=0.0) == at_full,
+        "joint(l=0)=at": loss("joint", x, y, adv,
+                              {"source_batch": lambda n: (x[:n], y[:n])},
+                              lambda_uot=0.0) == at_full,
     }
     _report(5, "loss reduction identities", all(checks.values()),
             ", ".join(f"{k}:{v}" for k, v in checks.items()))

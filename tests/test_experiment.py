@@ -10,7 +10,9 @@ from twins_lab.experiment import (METRICS_HEADER, ConfigError,
                                   ExperimentConfig, parse_train_config,
                                   read_metrics, run_experiment,
                                   write_metrics)
-from twins_lab.training import EpochRecord
+from twins_lab.data import load_dataset
+from twins_lab.network import MiniCNN
+from twins_lab.training import DivergenceError, EpochRecord, run_training
 
 
 def _base_config(out_dir):
@@ -79,10 +81,12 @@ def test_config_rejects_unknown_method_before_training():
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    cfg = _base_config(str(tmp_path / "out"))
-    cfg["finetune"]["learning_rate"] = 0.1
-    with pytest.raises(ConfigError):
-        ExperimentConfig(cfg)
+    for key, value in (("learning_rate", 0.1), ("sum_mode", True),
+                       ("kl_clean_first", True)):
+        cfg = _base_config(str(tmp_path / "out"))
+        cfg["finetune"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(cfg)
     cfg = _base_config(str(tmp_path / "out"))
     cfg["typo_section"] = {}
     with pytest.raises(ConfigError):
@@ -170,6 +174,23 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg["finetune"]["method"] = "twins-qt"
     path = _write_config(tmp_path, cfg)
     assert main(["run", path]) == 1
+    assert not os.path.exists(os.path.join(str(tmp_path / "out"),
+                                           "metrics_seed0.csv"))
+
+
+def test_diverged_run_stops_naming_epoch_and_batch(tmp_path, capsys):
+    cfg = _base_config(str(tmp_path / "out"))
+    cfg["finetune"].update(method="at", eta=1e6, batch=16, epochs=4)
+    exp = ExperimentConfig(cfg)
+    train, val = load_dataset(exp.target_data)
+    model = MiniCNN(exp.model, rng=np.random.default_rng(0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
+        run_training(exp.finetune, train, val, model)
+    path = _write_config(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", path]) == 1
+    assert "error: training diverged at epoch" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(str(tmp_path / "out"),
                                            "metrics_seed0.csv"))
 

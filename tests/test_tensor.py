@@ -240,7 +240,7 @@ def test_elementwise_ops_match_finite_diff(seed):
 
     def loss():
         a, b = ps["a"], ps["b"]
-        out = (a * b + a / b + b).sqrt() + (a ** 2) * 1e-3
+        out = (a * b + a / b + b).sqrt() + (a * a) * 1e-3
         return out.mean(axis=0).sum()
 
     grads = backprop(loss(), ps)

@@ -5,13 +5,11 @@ from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.data import DatasetSpec, gen_synthetic_dataset, split_train_val
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
                                make_finetune_model)
-from twins_lab.tensor import ParamStore, Tensor, backprop
-from twins_lab.training import (OptState, TrainConfig, compute_at_loss,
-                                compute_joint_loss, compute_lwf_loss,
-                                compute_trades_loss, compute_twins_at_loss,
-                                compute_twins_trades_loss, _feature_distance,
-                                lr_at_epoch, run_training, sgd_update,
-                                warmup_bn)
+from twins_lab.tensor import (ParamStore, Tensor, backprop,
+                              softmax_cross_entropy)
+from twins_lab.training import (METHODS, OptState, TrainConfig,
+                                _feature_distance, batch_loss, lr_at_epoch,
+                                run_training, sgd_update, warmup_bn)
 
 ATTACK = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=3,
                       rand_init=False)
@@ -95,15 +93,18 @@ def _shared_adv(model, x, y):
     return pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, ATTACK)
 
 
+def _loss(model, x, y, adv, method, aux=None, **kw):
+    cfg = TrainConfig(method=method, batch=8, attack=ATTACK, **kw)
+    return batch_loss(model, x, y, cfg, None, aux, adv=adv,
+                      update_running=False)
+
+
 def test_twins_at_zero_penalty_reduces_to_at_bitwise():
     model = _finetune_model()
     x, y = _batch()
     adv = _shared_adv(model, x, y)
-    cfg = TrainConfig(method="twins-at", lambda_twins=0.0, batch=8,
-                      attack=ATTACK)
-    twins = compute_twins_at_loss(model, x, y, cfg, update_running=False,
-                                  adv=adv)
-    plain = compute_at_loss(model, adv[:4], y[:4], update_running=False)
+    twins = _loss(model, x, y, adv, "twins-at", lambda_twins=0.0)
+    plain = _loss(model, x[:4], y[:4], adv[:4], "at")
     assert twins.item() == plain.item()
 
 
@@ -111,10 +112,8 @@ def test_trades_zero_beta_reduces_to_at_bitwise():
     model = _finetune_model(seed=2)
     x, y = _batch(seed=2)
     adv = _shared_adv(model, x, y)
-    cfg = TrainConfig(method="trades", beta=0.0, attack=ATTACK)
-    trades = compute_trades_loss(model, x, y, cfg, update_running=False,
-                                 adv=adv)
-    plain = compute_at_loss(model, adv, y, update_running=False)
+    trades = _loss(model, x, y, adv, "trades", beta=0.0)
+    plain = _loss(model, x, y, adv, "at")
     assert trades.item() == plain.item()
 
 
@@ -122,12 +121,9 @@ def test_twins_trades_zero_penalty_reduces_to_trades_bitwise():
     model = _finetune_model(seed=3)
     x, y = _batch(seed=3)
     adv = _shared_adv(model, x, y)
-    cfg = TrainConfig(method="twins-trades", lambda_twins=0.0, batch=8,
-                      beta=6.0, attack=ATTACK)
-    twins = compute_twins_trades_loss(model, x, y, cfg, update_running=False,
-                                      adv=adv)
-    plain = compute_trades_loss(model, x[:4], y[:4], cfg,
-                                update_running=False, adv=adv[:4])
+    twins = _loss(model, x, y, adv, "twins-trades", lambda_twins=0.0,
+                  beta=6.0)
+    plain = _loss(model, x[:4], y[:4], adv[:4], "trades", beta=6.0)
     assert twins.item() == plain.item()
 
 
@@ -135,10 +131,9 @@ def test_lwf_zero_penalty_reduces_to_at_bitwise():
     model = _finetune_model(seed=4)
     x, y = _batch(seed=4)
     adv = _shared_adv(model, x, y)
-    cfg = TrainConfig(method="lwf", lambda_lwf=0.0, attack=ATTACK)
-    lwf = compute_lwf_loss(model, model, x, y, cfg, update_running=False,
-                           adv=adv)
-    plain = compute_at_loss(model, adv, y, update_running=False)
+    lwf = _loss(model, x, y, adv, "lwf", {"pretrained": model},
+                lambda_lwf=0.0)
+    plain = _loss(model, x, y, adv, "at")
     assert lwf.item() == plain.item()
 
 
@@ -146,10 +141,10 @@ def test_joint_zero_penalty_reduces_to_at_bitwise():
     model = _finetune_model(seed=5)
     x, y = _batch(seed=5)
     adv = _shared_adv(model, x, y)
-    cfg = TrainConfig(method="joint", lambda_uot=0.0, attack=ATTACK)
-    joint = compute_joint_loss(model, x, y, None, np.array([], dtype=int),
-                               cfg, update_running=False, adv=adv)
-    plain = compute_at_loss(model, adv, y, update_running=False)
+    joint = _loss(model, x, y, adv, "joint",
+                  {"source_batch": lambda n: (x[:n], y[:n])},
+                  lambda_uot=0.0)
+    plain = _loss(model, x, y, adv, "at")
     assert joint.item() == plain.item()
 
 
@@ -158,19 +153,13 @@ def test_twins_gradient_is_weighted_sum_of_wings():
     x, y = _batch(seed=6)
     adv = _shared_adv(model, x, y)
     lam = 0.7
-    cfg = TrainConfig(method="twins-at", lambda_twins=lam, batch=8,
-                      attack=ATTACK)
     names = model.conv_names()
-    total = backprop(compute_twins_at_loss(model, x, y, cfg,
-                                           update_running=False, adv=adv),
+    total = backprop(_loss(model, x, y, adv, "twins-at", lambda_twins=lam),
                      model.params, names)
-    adaptive = backprop(compute_at_loss(model, adv[:4], y[:4],
-                                        BranchMode.ADAPTIVE_TRAIN,
-                                        update_running=False),
+    adaptive = backprop(_loss(model, x[:4], y[:4], adv[:4], "at"),
                         model.params, names)
-    frozen = backprop(compute_at_loss(model, adv[4:], y[4:],
-                                      BranchMode.FROZEN_TRAIN,
-                                      update_running=False),
+    _, frozen_logits = model.forward(adv[4:], BranchMode.FROZEN_TRAIN)
+    frozen = backprop(softmax_cross_entropy(frozen_logits, y[4:]),
                       model.params, names)
     for name in names:
         assert np.linalg.norm(adaptive[name]) > 0
@@ -184,7 +173,7 @@ def test_twins_losses_reject_odd_batches():
     x, y = _batch(seed=7, n=5)
     cfg = TrainConfig(method="twins-at", batch=8, attack=ATTACK)
     with pytest.raises(ValueError):
-        compute_twins_at_loss(model, x, y, cfg)
+        batch_loss(model, x, y, cfg, None)
 
 
 def test_joint_requires_source_head():
@@ -193,8 +182,18 @@ def test_joint_requires_source_head():
     model = MiniCNN(cfg, rng=np.random.default_rng(0))
     x, y = _batch(seed=8)
     tcfg = TrainConfig(method="joint", attack=ATTACK)
-    with pytest.raises(ValueError):
-        compute_joint_loss(model, x, y, x, y, tcfg)
+    with pytest.raises(ValueError, match="source-task head"):
+        batch_loss(model, x, y, tcfg, None,
+                   {"source_batch": lambda n: (x[:n], y[:n])})
+
+
+def test_batch_loss_rejects_unknown_method():
+    model = _finetune_model(seed=12)
+    x, y = _batch(seed=12)
+    cfg = TrainConfig(method="at", attack=ATTACK)
+    cfg.method = "twins-qt"
+    with pytest.raises(ValueError, match="unknown training method"):
+        batch_loss(model, x, y, cfg, np.random.default_rng(0))
 
 
 def test_warmup_zero_epochs_leaves_stats_untouched():
@@ -286,18 +285,25 @@ def test_run_training_history_bookkeeping():
     assert history[-1].lr == pytest.approx(cfg.eta * 0.1)
 
 
-def test_run_training_seeded_bitwise_reproducibility():
-    cfg = TrainConfig(method="at", eta=0.02, epochs=2, batch=12,
+@pytest.mark.parametrize("method", METHODS)
+def test_run_training_seeded_bitwise_reproducibility(method):
+    cfg = TrainConfig(method=method, eta=0.02, epochs=2, batch=12,
                       milestones=(), seed=3,
                       attack=AttackConfig(epsilon=2 / 255, alpha=1 / 255,
                                           steps=2))
-    states = []
+    finetune = method in ("lwf", "joint")
+    states, histories = [], []
     for _ in range(2):
         train, val = _tiny_task()
-        model, _ = run_training(cfg, train, val, _tiny_model(seed=5))
+        source, _ = _tiny_task(seed=1) if finetune else (None, None)
+        model = _finetune_model(seed=5) if finetune else _tiny_model(seed=5)
+        model, history = run_training(cfg, train, val, model,
+                                      source_data=source)
         states.append(model.state_dict())
+        histories.append(history)
     for name in states[0]:
         assert np.array_equal(states[0][name], states[1][name])
+    assert histories[0] == histories[1]
 
 
 def test_run_training_joint_needs_source_data():
