@@ -6,7 +6,9 @@ offset, length}]}, then a raw little-endian payload. Offsets are
 relative to the payload start.
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -40,6 +42,22 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode, **kwargs):
+    """Open a temp file beside `path` for writing; on a clean exit it
+    replaces `path` with `os.replace`, on an exception it is removed. A
+    reader sees the old file or the whole new one, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(path, tensors, metadata):
     records = []
     chunks = []
@@ -54,7 +72,7 @@ def save_tensors(path, tensors, metadata):
         offset += len(raw)
     header = json.dumps({"version": VERSION, "metadata": metadata,
                          "tensors": records}).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

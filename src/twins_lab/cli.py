@@ -11,8 +11,9 @@ import numpy as np
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import load_checkpoint
 from .data import load_dataset, save_idx
-from .experiment import (ConfigError, ExperimentConfig, read_metrics,
-                         run_experiment, run_finetune, run_pretrain)
+from .experiment import (ConfigError, ExperimentConfig, joint_source,
+                         read_metrics, run_experiment, run_finetune,
+                         run_pretrain)
 
 
 def _load_config(args):
@@ -62,8 +63,9 @@ def _cmd_finetune(args):
     pretrained, _ = load_checkpoint(ckpt)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     target = load_dataset(cfg.target_data)
+    source = joint_source(cfg)
     for seed in seeds:
-        _, history = run_finetune(cfg, pretrained, seed, target,
+        _, history = run_finetune(cfg, pretrained, seed, target, source,
                                   out_dir=cfg.out_dir,
                                   tag=cfg.finetune.method)
         print(f"seed {seed}: clean {history[-1].clean_acc:.3f}, "

@@ -10,7 +10,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX header or truncated payload."""
+    """Malformed IDX header, truncated payload or out-of-range label."""
 
 
 class IdxCountMismatchError(ValueError):
@@ -67,10 +67,17 @@ def split_train_val(x, y, val_fraction, seed=0):
 
 
 def load_dataset(spec):
+    """The (train, val) split of `spec`'s data; IDX labels must lie in
+    [0, spec.classes)."""
     if spec.source == "synthetic":
         x, y = gen_synthetic_dataset(spec)
     else:
         x, y = load_idx(spec.images_path, spec.labels_path)
+        bad = np.flatnonzero(y >= spec.classes)
+        if bad.size:
+            raise IdxFormatError(
+                f"label {y[bad[0]]} of record {bad[0]} in "
+                f"{spec.labels_path} is not below classes={spec.classes}")
     return split_train_val(x, y, spec.val_fraction, seed=spec.seed)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .analysis import evaluate
 from .attack import AttackConfig
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .data import DatasetSpec, load_dataset
 from .network import MiniCNN, ModelConfig, make_finetune_model
 from .training import TrainConfig, run_training, warmup_bn
@@ -111,7 +111,7 @@ def write_metrics(history, path):
             f"{rec.clean_acc:.12g}", f"{rec.pgd_acc:.12g}",
             f"{rec.grad_norm_mean:.12g}", f"{rec.grad_norm_cv:.12g}",
             f"{rec.weight_dist:.12g}"]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -134,12 +134,26 @@ def _source_model_config(cfg):
                                source_classes=0)
 
 
-def run_pretrain(cfg, out_dir=None):
+def joint_source(cfg):
+    """The source (train, val) pair `joint` fine-tuning draws from, or
+    None for every other method. Load it once per command and pass it to
+    `run_pretrain` and to `run_finetune` for every seed."""
+    if cfg.finetune.method != "joint":
+        return None
+    if cfg.source_data is None:
+        raise ConfigError("joint fine-tuning needs source_data")
+    return load_dataset(cfg.source_data)
+
+
+def run_pretrain(cfg, out_dir=None, source=None):
     """Robust source-task pre-training from random init; returns the
-    trained model and writes a checkpoint when out_dir is given."""
+    trained model and writes a checkpoint when out_dir is given.
+
+    `source` is the (train, val) pair of `cfg.source_data` when the
+    caller has already loaded it."""
     if cfg.source_data is None or cfg.pretrain is None:
         raise ConfigError("pre-training needs source_data and pretrain")
-    train, val = load_dataset(cfg.source_data)
+    train, val = load_dataset(cfg.source_data) if source is None else source
     model = MiniCNN(_source_model_config(cfg),
                     rng=np.random.default_rng(cfg.pretrain.seed))
     model, history = run_training(cfg.pretrain, train, val, model)
@@ -152,11 +166,13 @@ def run_pretrain(cfg, out_dir=None):
     return model, history
 
 
-def run_finetune(cfg, pretrained, seed, target, out_dir=None, tag=""):
+def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
+                 tag=""):
     """Warmup (optional) plus fine-tuning for one seed.
 
     `target` is the (train, val) pair `load_dataset(cfg.target_data)`
-    returns; it is only read, so one load can serve every seed.
+    returns, and `source` the pair `joint_source(cfg)` returns; both are
+    only read, so one load can serve every seed.
     """
     train, val = target
     ft = dataclasses.replace(cfg.finetune, seed=seed)
@@ -169,9 +185,9 @@ def run_finetune(cfg, pretrained, seed, target, out_dir=None, tag=""):
                   momentum=cfg.model.bn_momentum)
     source_train = None
     if ft.method == "joint":
-        if cfg.source_data is None:
-            raise ConfigError("joint fine-tuning needs source_data")
-        source_train, _ = load_dataset(cfg.source_data)
+        if source is None:
+            raise ConfigError("joint fine-tuning needs the source dataset")
+        source_train = source[0]
     model, history = run_training(ft, train, val, model,
                                   source_data=source_train)
     if out_dir is not None:
@@ -197,8 +213,9 @@ def run_experiment(config_path, seed_override=None, out_override=None,
         cfg.finetune = dataclasses.replace(cfg.finetune,
                                            method=method_override)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    source = joint_source(cfg)
     if cfg.pretrain is not None:
-        pretrained, _ = run_pretrain(cfg, out_dir=cfg.out_dir)
+        pretrained, _ = run_pretrain(cfg, out_dir=cfg.out_dir, source=source)
     else:
         pretrained = MiniCNN(_source_model_config(cfg) if cfg.source_data
                              else dataclasses.replace(cfg.model,
@@ -207,13 +224,13 @@ def run_experiment(config_path, seed_override=None, out_override=None,
     target = load_dataset(cfg.target_data)
     results = {}
     for seed in cfg.seeds:
-        model, history = run_finetune(cfg, pretrained, seed, target,
+        model, history = run_finetune(cfg, pretrained, seed, target, source,
                                       out_dir=cfg.out_dir)
         attack = cfg.eval_attack or cfg.finetune.attack
         clean, robust = evaluate(model, target[1], attack,
                                  rng=np.random.default_rng(seed + 104729))
         results[seed] = {"clean_acc": clean, "pgd_acc": robust}
-    with open(os.path.join(cfg.out_dir, "summary.json"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(cfg.out_dir, "summary.json"), "w",
+                     encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
     return results

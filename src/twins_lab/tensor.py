@@ -3,21 +3,30 @@
 Every tensor wraps a row-major numpy array (float32 for experiments,
 float64 for verification). Operations record their inputs and a backward
 closure on the output node; ``backward`` replays the closures in reverse
-topological order. Only nodes on a path to a gradient-requiring leaf are
-recorded, so constant subgraphs cost nothing at backward time.
+topological order, passing each its node's gradient. Only nodes on a path
+to a gradient-requiring leaf are recorded, so constant subgraphs cost
+nothing at backward time. A closure refers to its operands but never to
+its own node, so a graph holds no reference cycle and is freed as soon
+as its loss goes out of scope.
 
 A reverse pass differentiates toward a set of tensors: the loss's
-ancestors that descend from one of them get a zeroed ``.grad`` buffer
-and run their closure; every other graph node's ``.grad`` is None, and a
-closure adds into an operand only when that operand has a buffer.
-``backward()`` alone differentiates toward every gradient-requiring
-leaf; ``backprop`` asks for the named parameters and ``pgd_attack`` for
-its input, so an attack step never computes a parameter gradient.
+ancestors that descend from one of them receive a gradient and run their
+closure; every other graph node's ``.grad`` is None, and a closure adds
+into an operand only when that operand receives one. A ``.grad`` is made
+on first write: the first contribution becomes it and later ones are
+added out of place, so after the pass a ``.grad`` is read-only and may
+share memory with a neighbour's. ``backward()`` alone differentiates
+toward every gradient-requiring leaf; ``backprop`` asks for the named
+parameters and ``pgd_attack`` for its input, so an attack step never
+computes a parameter gradient.
 """
 
 import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# `.grad` of a node that receives a gradient before its first contribution
+_UNWRITTEN = object()
 
 
 class ShapeError(ValueError):
@@ -40,6 +49,19 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _accumulate(t, g):
+    """Add the gradient contribution `g` into `t.grad`.
+
+    The first contribution becomes `t.grad` itself; later ones are added
+    out of place, so no contribution is ever written through. The sum is
+    cast to `t`'s dtype, as an in-place add into a buffer would be.
+    """
+    if t.grad is _UNWRITTEN:
+        t.grad = np.asarray(g, dtype=t.data.dtype)
+    else:
+        t.grad = np.asarray(t.grad + g, dtype=t.data.dtype)
 
 
 class Tensor:
@@ -83,11 +105,13 @@ class Tensor:
         return out
 
     def backward(self, inputs=None):
-        """Accumulate d(self)/d(node) into `.grad` of the graph's nodes.
+        """Set `.grad` of the graph's nodes to d(self)/d(node).
 
         With `inputs`, only nodes on a path from one of those tensors to
-        `self` get a buffer and run their closure; every other graph
-        node's `.grad` is set to None. Without it, every node does.
+        `self` receive a gradient and run their closure; every other graph
+        node's `.grad` is set to None. Without it, every node does. Each
+        `.grad` is made on first write, so treat it as read-only: it may
+        be the very array of a neighbouring node's `.grad`.
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss node")
@@ -105,20 +129,22 @@ class Tensor:
                 visited.add(id(child))
                 stack.append((child, iter(child._prev)))
         wanted = None if inputs is None else {id(t) for t in inputs}
-        # topo lists every node after its operands, so their buffers
-        # are already decided when the node's own is
+        # topo lists every node after its operands, so whether they
+        # receive a gradient is already decided when the node's turn comes
         for node in topo:
             if (wanted is None or id(node) in wanted
                     or any(p.grad is not None for p in node._prev)):
-                node.grad = np.zeros_like(node.data)
+                node.grad = _UNWRITTEN
             else:
                 node.grad = None
         if self.grad is None:
             return
         self.grad = np.ones_like(self.data)
+        # every node receiving a gradient feeds one that does, so each
+        # has had its first write by the time its closure runs
         for node in reversed(topo):
             if node.grad is not None and node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- elementwise arithmetic ------------------------------------------
 
@@ -130,26 +156,24 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad += _unbroadcast(out.grad, a.data.shape)
+                _accumulate(a, _unbroadcast(dout, a.data.shape))
             if b.grad is not None:
-                b.grad += _unbroadcast(out.grad, b.data.shape)
+                _accumulate(b, _unbroadcast(dout, b.data.shape))
 
-        out = Tensor._make(a.data + b.data, (a, b), bk)
-        return out
+        return Tensor._make(a.data + b.data, (a, b), bk)
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad -= out.grad
+                _accumulate(a, -dout)
 
-        out = Tensor._make(-a.data, (a,), bk)
-        return out
+        return Tensor._make(-a.data, (a,), bk)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -161,14 +185,13 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
+                _accumulate(a, _unbroadcast(dout * b.data, a.data.shape))
             if b.grad is not None:
-                b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+                _accumulate(b, _unbroadcast(dout * a.data, b.data.shape))
 
-        out = Tensor._make(a.data * b.data, (a, b), bk)
-        return out
+        return Tensor._make(a.data * b.data, (a, b), bk)
 
     __rmul__ = __mul__
 
@@ -176,28 +199,26 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad += _unbroadcast(out.grad / b.data, a.data.shape)
+                _accumulate(a, _unbroadcast(dout / b.data, a.data.shape))
             if b.grad is not None:
-                b.grad += _unbroadcast(-out.grad * a.data / (b.data * b.data),
-                                       b.data.shape)
+                _accumulate(b, _unbroadcast(-dout * a.data / (b.data * b.data),
+                                            b.data.shape))
 
-        out = Tensor._make(a.data / b.data, (a, b), bk)
-        return out
+        return Tensor._make(a.data / b.data, (a, b), bk)
 
     def sqrt(self):
         a = self
         val = np.sqrt(a.data)
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
                 # subgradient at exactly 0 is defined as 0
                 safe = np.where(val > 0, val, 1.0)
-                a.grad += np.where(val > 0, out.grad / (2.0 * safe), 0.0)
+                _accumulate(a, np.where(val > 0, dout / (2.0 * safe), 0.0))
 
-        out = Tensor._make(val, (a,), bk)
-        return out
+        return Tensor._make(val, (a,), bk)
 
     # -- shape ops -------------------------------------------------------
 
@@ -207,28 +228,26 @@ class Tensor:
         a = self
         old = a.data.shape
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad += out.grad.reshape(old)
+                _accumulate(a, dout.reshape(old))
 
-        out = Tensor._make(a.data.reshape(shape), (a,), bk)
-        return out
+        return Tensor._make(a.data.reshape(shape), (a,), bk)
 
     def sum(self, axis=None, keepdims=False):
         a = self
         val = a.data.sum(axis=axis, keepdims=keepdims)
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                g = out.grad
+                g = dout
                 if not keepdims and axis is not None:
                     ax = axis if isinstance(axis, tuple) else (axis,)
                     ax = tuple(i % a.data.ndim for i in ax)
                     g = np.expand_dims(g, ax)
-                a.grad += np.broadcast_to(g, a.data.shape)
+                _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-        out = Tensor._make(val, (a,), bk)
-        return out
+        return Tensor._make(val, (a,), bk)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -246,12 +265,11 @@ class Tensor:
         a = self
         mask = a.data > 0
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad += out.grad * mask
+                _accumulate(a, dout * mask)
 
-        out = Tensor._make(np.maximum(a.data, 0), (a,), bk)
-        return out
+        return Tensor._make(np.maximum(a.data, 0), (a,), bk)
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -262,14 +280,13 @@ class Tensor:
             raise ShapeError(
                 f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
 
-        def bk():
+        def bk(dout):
             if a.grad is not None:
-                a.grad += out.grad @ b.data.T
+                _accumulate(a, dout @ b.data.T)
             if b.grad is not None:
-                b.grad += a.data.T @ out.grad
+                _accumulate(b, a.data.T @ dout)
 
-        out = Tensor._make(a.data @ b.data, (a, b), bk)
-        return out
+        return Tensor._make(a.data @ b.data, (a, b), bk)
 
 
 # -- convolution ---------------------------------------------------------
@@ -288,19 +305,32 @@ def _im2col(x, kh, kw, stride, pad):
     return cols, ho, wo
 
 
-def _conv2d_forward(x, k, stride, pad):
-    o, c, kh, kw = k.shape
+def _im2col_matrix(x, kh, kw, stride, pad):
+    """The im2col columns of `x` as an (N, C*kh*kw, Ho*Wo) array."""
     cols, ho, wo = _im2col(x, kh, kw, stride, pad)
+    return cols.reshape(x.shape[0], x.shape[1] * kh * kw, ho * wo), ho, wo
+
+
+def _conv2d_forward(x, k, stride, pad):
+    """Returns the (N, O, Ho, Wo) output and the im2col columns it used."""
+    o, _, kh, kw = k.shape
+    cols, ho, wo = _im2col_matrix(x, kh, kw, stride, pad)
     # (O, C*kh*kw) @ (N, C*kh*kw, Ho*Wo) -> (N, O, Ho*Wo), already NCHW
-    out = np.matmul(k.reshape(o, c * kh * kw),
-                    cols.reshape(x.shape[0], c * kh * kw, ho * wo))
-    return out.reshape(x.shape[0], o, ho, wo)
+    out = np.matmul(k.reshape(o, -1), cols)
+    return out.reshape(x.shape[0], o, ho, wo), cols
 
 
-def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad):
-    """d(conv2d)/d(kernel) given the input and the output adjoint."""
-    cols, _, _ = _im2col(x, kh, kw, stride, pad)
-    return np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 4, 5]))
+def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad, cols=None):
+    """d(conv2d)/d(kernel) given the input and the output adjoint.
+
+    `cols` are the forward pass's im2col columns of `x`; without them
+    they are rebuilt. Both ways contract the same 2-D GEMM.
+    """
+    if cols is None:
+        cols, _, _ = _im2col_matrix(x, kh, kw, stride, pad)
+    n, o = grad_out.shape[:2]
+    dk = np.tensordot(grad_out.reshape(n, o, -1), cols, axes=([0, 2], [0, 2]))
+    return dk.reshape(o, x.shape[1], kh, kw)
 
 
 def _conv2d_input_grad(grad_out, k, x_shape, stride, pad):
@@ -333,18 +363,18 @@ def conv2d(x, k, stride=1, pad=0):
         raise ShapeError("kernel larger than padded input")
     if stride < 1:
         raise ShapeError("stride must be >= 1")
-    val = _conv2d_forward(x.data, k.data, stride, pad)
+    val, cols = _conv2d_forward(x.data, k.data, stride, pad)
     a, b = x, k
 
-    def bk():
+    def bk(dout):
         if b.grad is not None:
-            b.grad += conv2d_weight_grad(a.data, out.grad, kh, kw, stride, pad)
+            _accumulate(b, conv2d_weight_grad(a.data, dout, kh, kw, stride,
+                                              pad, cols=cols))
         if a.grad is not None:
-            a.grad += _conv2d_input_grad(out.grad, b.data, a.data.shape,
-                                         stride, pad)
+            _accumulate(a, _conv2d_input_grad(dout, b.data, a.data.shape,
+                                              stride, pad))
 
-    out = Tensor._make(val, (a, b), bk)
-    return out
+    return Tensor._make(val, (a, b), bk)
 
 
 def global_avg_pool(x):
@@ -381,20 +411,19 @@ def batch_norm(x, gamma, beta, eps):
     val = xhat * g
     val += beta.data.reshape(1, c, 1, 1)
 
-    def bk():
-        dy = out.grad
+    def bk(dy):
         dy_sum = dy.sum(axis=_BN_AXES)
         if beta.grad is not None:
-            beta.grad += dy_sum
+            _accumulate(beta, dy_sum)
         dyx_sum = (dy * xhat).sum(axis=_BN_AXES)
         if gamma.grad is not None:
-            gamma.grad += dyx_sum
+            _accumulate(gamma, dyx_sum)
         if x.grad is not None:
             dx = xhat * (-inv_m * dyx_sum).reshape(1, c, 1, 1)
             dx += dy
             dx -= (inv_m * dy_sum).reshape(1, c, 1, 1)
             dx *= g / std
-            x.grad += dx
+            _accumulate(x, dx)
 
     out = Tensor._make(val, (x, gamma, beta), bk)
     return out, mean.reshape(c), var.reshape(c)
@@ -414,17 +443,15 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
     val = xhat * g
     val += beta.data.reshape(1, c, 1, 1)
 
-    def bk():
-        dy = out.grad
+    def bk(dy):
         if gamma.grad is not None:
-            gamma.grad += (dy * xhat).sum(axis=_BN_AXES)
+            _accumulate(gamma, (dy * xhat).sum(axis=_BN_AXES))
         if beta.grad is not None:
-            beta.grad += dy.sum(axis=_BN_AXES)
+            _accumulate(beta, dy.sum(axis=_BN_AXES))
         if x.grad is not None:
-            x.grad += dy * (g / std)
+            _accumulate(x, dy * (g / std))
 
-    out = Tensor._make(val, (x, gamma, beta), bk)
-    return out
+    return Tensor._make(val, (x, gamma, beta), bk)
 
 
 # -- losses --------------------------------------------------------------
@@ -448,14 +475,13 @@ def softmax_cross_entropy(logits, labels):
     val = -ls[np.arange(n), labels].mean()
     a = logits
 
-    def bk():
+    def bk(dout):
         if a.grad is not None:
             g = np.exp(ls)
             g[np.arange(n), labels] -= 1.0
-            a.grad += out.grad * g / n
+            _accumulate(a, dout * g / n)
 
-    out = Tensor._make(np.asarray(val, dtype=logits.data.dtype), (a,), bk)
-    return out
+    return Tensor._make(np.asarray(val, dtype=logits.data.dtype), (a,), bk)
 
 
 def kl_div_logits(p_logits, q_logits):
@@ -470,14 +496,13 @@ def kl_div_logits(p_logits, q_logits):
     val = row_kl.mean()
     a, b = p_logits, q_logits
 
-    def bk():
+    def bk(dout):
         if a.grad is not None:
-            a.grad += out.grad / n * p * ((lp - lq) - row_kl[:, None])
+            _accumulate(a, dout / n * p * ((lp - lq) - row_kl[:, None]))
         if b.grad is not None:
-            b.grad += out.grad / n * (np.exp(lq) - p)
+            _accumulate(b, dout / n * (np.exp(lq) - p))
 
-    out = Tensor._make(np.asarray(val, dtype=p_logits.data.dtype), (a, b), bk)
-    return out
+    return Tensor._make(np.asarray(val, dtype=p_logits.data.dtype), (a, b), bk)
 
 
 # -- parameter containers ------------------------------------------------

@@ -25,6 +25,19 @@ def _model(dtype="float32", seed=0):
     return model
 
 
+def test_failed_save_keeps_previous_file(tmp_path, disk_full):
+    path = str(tmp_path / "t.ckpt")
+    save_tensors(path, {"a": np.arange(3.0)}, {"step": 1})
+    with open(path, "rb") as fh:
+        before = fh.read()
+    disk_full("t.ckpt")
+    with pytest.raises(OSError):
+        save_tensors(path, {"a": np.ones(3)}, {"step": 2})
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
+
+
 def test_tensor_round_trip_bitwise(tmp_path):
     path = str(tmp_path / "t.ckpt")
     rng = np.random.default_rng(0)

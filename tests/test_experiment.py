@@ -10,7 +10,7 @@ from twins_lab.experiment import (METRICS_HEADER, ConfigError,
                                   ExperimentConfig, parse_train_config,
                                   read_metrics, run_experiment,
                                   write_metrics)
-from twins_lab.data import load_dataset
+from twins_lab.data import load_dataset, save_idx
 from twins_lab.network import MiniCNN
 from twins_lab.training import DivergenceError, EpochRecord, run_training
 
@@ -207,15 +207,9 @@ def _artifacts(out):
     return blobs
 
 
-def test_cli_loads_target_data_once_per_command(tmp_path, monkeypatch):
-    cfg = _base_config("ignored")
-    cfg["seeds"] = [0, 1]
-    cfg["finetune"].update(method="twins-at", epochs=1, warmup_epochs=1)
-    cfg["source_data"] = dict(cfg["target_data"], per_class=16, seed=5)
-    cfg["pretrain"] = dict(cfg["finetune"], method="std", warmup_epochs=0)
-    path = _write_config(tmp_path, cfg)
-    # run loads source and target data, finetune the target data
-    commands = ((["run", path], 2), (["finetune", path, "--method", "at"], 1))
+def _assert_loads_per_command(tmp_path, monkeypatch, commands):
+    """Each (argv, loads) command calls `load_dataset` `loads` times and
+    writes the same artifacts as a run whose loaded arrays are writable."""
     for cmd, _ in commands:
         assert main(cmd + ["--out", str(tmp_path / "fresh")]) == 0
 
@@ -236,3 +230,71 @@ def test_cli_loads_target_data_once_per_command(tmp_path, monkeypatch):
         assert main(cmd + ["--out", str(tmp_path / "once")]) == 0
         assert len(calls) == loads
     assert _artifacts(tmp_path / "once") == _artifacts(tmp_path / "fresh")
+
+
+def _two_seed_config(tmp_path, method):
+    cfg = _base_config("ignored")
+    cfg["seeds"] = [0, 1]
+    cfg["finetune"].update(method=method, epochs=1, warmup_epochs=1)
+    cfg["source_data"] = dict(cfg["target_data"], per_class=16, seed=5)
+    cfg["pretrain"] = dict(cfg["finetune"], method="std", warmup_epochs=0)
+    return _write_config(tmp_path, cfg)
+
+
+def test_cli_loads_target_data_once_per_command(tmp_path, monkeypatch):
+    path = _two_seed_config(tmp_path, "twins-at")
+    # run loads source and target data, finetune the target data
+    _assert_loads_per_command(tmp_path, monkeypatch, (
+        (["run", path], 2), (["finetune", path, "--method", "at"], 1)))
+
+
+def test_cli_loads_joint_source_data_once_per_command(tmp_path, monkeypatch):
+    path = _two_seed_config(tmp_path, "joint")
+    # pre-training and both joint seeds share one source load
+    _assert_loads_per_command(tmp_path, monkeypatch, (
+        (["run", path], 2), (["finetune", path, "--method", "joint"], 2)))
+
+
+def test_failed_metrics_write_keeps_previous_file(tmp_path, disk_full):
+    path = str(tmp_path / "m.csv")
+    write_metrics(_records(), path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    disk_full("m.csv")
+    with pytest.raises(OSError):
+        write_metrics(_records(4), path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["m.csv"]
+
+
+def test_failed_summary_write_keeps_previous_file(tmp_path, disk_full):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, _base_config(str(out)))
+    run_experiment(path)
+    with open(out / "summary.json", "rb") as fh:
+        before = fh.read()
+    disk_full("summary.json")
+    with pytest.raises(OSError):
+        run_experiment(path)
+    with open(out / "summary.json", "rb") as fh:
+        assert fh.read() == before
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+def test_cli_rejects_idx_label_outside_classes(tmp_path, capsys):
+    labels = np.array([0, 1] * 8)
+    labels[5] = 2
+    images = np.random.default_rng(0).uniform(size=(16, 1, 8, 8))
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    save_idx(images, labels, ip, lp)
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["model"]["input_shape"] = [1, 8, 8]
+    cfg["source_data"] = {"source": "idx-files", "classes": 2,
+                          "images_path": ip, "labels_path": lp}
+    cfg["pretrain"] = dict(cfg["finetune"])
+    assert main(["pretrain", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "label 2 of record 5" in err
+    assert not (out / "pretrain_metrics.csv").exists()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from twins_lab.tensor import (ParamStore, ShapeError, Tensor, backprop,
-                              conv2d, finite_diff_grad, global_avg_pool,
+from twins_lab.tensor import (ParamStore, ShapeError, Tensor, _conv2d_forward,
+                              _im2col, backprop, conv2d, conv2d_weight_grad,
+                              finite_diff_grad, global_avg_pool,
                               kl_div_logits, softmax_cross_entropy)
 
 
@@ -75,6 +76,25 @@ def test_conv2d_gradients_match_finite_diff(stride, pad, ksize):
     for name in ("x", "k"):
         assert grads[name].shape == ps[name].shape
         assert np.allclose(grads[name], fd[name], rtol=1e-7, atol=1e-8)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("ksize", [1, 3])
+def test_conv2d_weight_grad_reuses_forward_columns_bitwise(stride, pad, ksize):
+    rng = np.random.default_rng(20 * stride + 5 * pad + ksize)
+    x = rng.normal(size=(3, 2, 6, 5)).astype(np.float32)
+    k = rng.normal(size=(4, 2, ksize, ksize)).astype(np.float32)
+    out, cols = _conv2d_forward(x, k, stride, pad)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    rebuilt = conv2d_weight_grad(x, g, ksize, ksize, stride, pad)
+    reused = conv2d_weight_grad(x, g, ksize, ksize, stride, pad, cols=cols)
+    assert reused.shape == k.shape and reused.dtype == k.dtype
+    assert np.array_equal(reused, rebuilt)
+    # the contraction over the unreshaped strided view forms the same GEMM
+    strided, _, _ = _im2col(x, ksize, ksize, stride, pad)
+    assert np.array_equal(
+        reused, np.tensordot(g, strided, axes=([0, 2, 3], [0, 4, 5])))
 
 
 def test_relu_forward_matches_masked_select():
@@ -288,6 +308,22 @@ def test_backward_toward_unreached_tensor_leaves_no_buffer():
     loss = (w * 2.0).sum()
     loss.backward(inputs=(x,))
     assert loss.grad is None and w.grad is None and x.grad is None
+
+
+def test_fan_out_node_gets_the_summed_gradient():
+    x = Tensor(np.array([-1.5, 0.0, 0.25, 3.0]), requires_grad=True)
+    ((x * x) + x).sum().backward()
+    assert np.array_equal(x.grad, 2.0 * x.data + 1.0)
+
+
+def test_backprop_gives_zeros_to_a_parameter_no_path_reaches():
+    ps = ParamStore()
+    w = ps.add("w", np.ones(3), dtype=np.float32)
+    ps.add("unused", np.ones((2, 2)), dtype=np.float32)
+    grads = backprop((w * 2.0).sum(), ps)
+    assert np.array_equal(grads["w"], np.full(3, 2.0, np.float32))
+    assert grads["unused"].dtype == np.float32
+    assert np.array_equal(grads["unused"], np.zeros((2, 2)))
 
 
 def test_backprop_single_name_matches_full_map_bitwise():

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.data import DatasetSpec, gen_synthetic_dataset, split_train_val
-from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
+from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, copy_model,
                                make_finetune_model)
 from twins_lab.tensor import (ParamStore, Tensor, backprop,
                               softmax_cross_entropy)
@@ -31,6 +33,60 @@ def _batch(seed=0, n=8, classes=3):
     x = rng.uniform(size=(n, 3, 8, 8))
     y = rng.integers(0, classes, size=n)
     return x, y
+
+
+def _method_batch(method, dtype):
+    """A fine-tuning model, batch, config and aux map for `method`."""
+    pre = MiniCNN(ModelConfig(input_shape=(3, 8, 8), widths=(4, 6),
+                              target_classes=4, dtype=dtype),
+                  rng=np.random.default_rng(0))
+    model = make_finetune_model(pre, target_classes=3, seed=1)
+    x, y = _batch(n=8)
+    x = x.astype(dtype)
+    aux = {"pretrained": copy_model(model),
+           "source_batch": lambda n: (x[:n], y[:n])}
+    cfg = TrainConfig(method=method, attack=ATTACK, lambda_lwf=0.5,
+                      lambda_uot=0.5)
+    return model, x, y, cfg, aux
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+    return nodes
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batch_graph_is_freed_without_the_cyclic_collector(method):
+    model, x, y, cfg, aux = _method_batch(method, "float32")
+    gc.collect()
+    gc.disable()
+    try:
+        loss = batch_loss(model, x, y, cfg, np.random.default_rng(2), aux)
+        backprop(loss, model.params, model.trainable_names(method))
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_gradient_has_its_node_dtype_and_shape(method, dtype):
+    model, x, y, cfg, aux = _method_batch(method, dtype)
+    loss = batch_loss(model, x, y, cfg, np.random.default_rng(2), aux)
+    loss.backward()
+    nodes = _graph_nodes(loss)
+    assert len(nodes) > 10
+    for node in nodes:
+        assert isinstance(node.grad, np.ndarray)
+        assert node.grad.dtype == node.dtype
+        assert node.grad.shape == node.shape
 
 
 def test_lr_schedule_values():
