@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import load_checkpoint
-from .data import load_dataset, save_idx
+from .data import load_dataset, load_records, save_idx
 from .experiment import (ConfigError, ExperimentConfig, joint_source,
                          read_metrics, run_experiment, run_finetune,
                          run_pretrain)
@@ -24,22 +24,24 @@ def _load_config(args):
 
 
 def _cmd_gen_data(args):
+    """Write each dataset's records in `load_dataset`'s pre-split order, so
+    an "npz" or "idx-files" spec with the same seed and val_fraction reads
+    back the same (train, val) split."""
     cfg = _load_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, spec in (("target", cfg.target_data),
                        ("source", cfg.source_data)):
         if spec is None:
             continue
-        (xt, yt), (xv, yv) = load_dataset(spec)
-        x = np.concatenate([xt, xv])
-        y = np.concatenate([yt, yv])
+        x, y = load_records(spec)
         if x.shape[1] == 1:
             save_idx(x, y, os.path.join(cfg.out_dir, f"{name}-images.idx"),
                      os.path.join(cfg.out_dir, f"{name}-labels.idx"))
         else:
             np.savez(os.path.join(cfg.out_dir, f"{name}.npz"), x=x, y=y)
+        n_val = int(round(len(y) * spec.val_fraction))
         print(f"{name}: {len(y)} samples "
-              f"({len(yt)} train / {len(yv)} val)")
+              f"({len(y) - n_val} train / {n_val} val)")
     return 0
 
 

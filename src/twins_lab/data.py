@@ -1,6 +1,8 @@
-"""Dataset provisioning: seeded synthetic template tasks and IDX files."""
+"""Dataset provisioning: seeded synthetic template tasks, IDX files and
+npz archives."""
 
 import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,20 +19,25 @@ class IdxCountMismatchError(ValueError):
     """Image and label files disagree on the number of records."""
 
 
+class NpzFormatError(ValueError):
+    """Unreadable npz archive, missing `x`/`y` array, mismatched record
+    counts or out-of-range label."""
+
+
 @dataclass
 class DatasetSpec:
-    source: str = "synthetic"  # "synthetic" or "idx-files"
+    source: str = "synthetic"  # "synthetic", "idx-files" or "npz"
     classes: int = 2
     image_shape: tuple = (3, 16, 16)
     per_class: int = 100
     noise_std: float = 0.2
     seed: int = 0
     val_fraction: float = 0.25
-    images_path: str = ""
+    images_path: str = ""  # the archive for "npz"
     labels_path: str = ""
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "idx-files"):
+        if self.source not in ("synthetic", "idx-files", "npz"):
             raise ValueError(f"unknown dataset source: {self.source!r}")
         if self.source == "synthetic" and self.classes < 2:
             raise ValueError("synthetic datasets need at least 2 classes")
@@ -66,19 +73,53 @@ def split_train_val(x, y, val_fraction, seed=0):
     return (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx])
 
 
-def load_dataset(spec):
-    """The (train, val) split of `spec`'s data; IDX labels must lie in
-    [0, spec.classes)."""
+def load_records(spec):
+    """All of `spec`'s records (x, y), in the order `load_dataset` splits.
+
+    Labels read from files must lie in [0, spec.classes).
+    """
     if spec.source == "synthetic":
-        x, y = gen_synthetic_dataset(spec)
+        return gen_synthetic_dataset(spec)
+    if spec.source == "npz":
+        x, y = load_npz(spec.images_path)
+        error, where = NpzFormatError, spec.images_path
     else:
         x, y = load_idx(spec.images_path, spec.labels_path)
-        bad = np.flatnonzero(y >= spec.classes)
-        if bad.size:
-            raise IdxFormatError(
-                f"label {y[bad[0]]} of record {bad[0]} in "
-                f"{spec.labels_path} is not below classes={spec.classes}")
+        error, where = IdxFormatError, spec.labels_path
+    bad = np.flatnonzero((y < 0) | (y >= spec.classes))
+    if bad.size:
+        raise error(f"label {y[bad[0]]} of record {bad[0]} in {where} is "
+                    f"not in [0, classes={spec.classes})")
+    return x, y
+
+
+def load_dataset(spec):
+    """The (train, val) split of `spec`'s records."""
+    x, y = load_records(spec)
     return split_train_val(x, y, spec.val_fraction, seed=spec.seed)
+
+
+def load_npz(path):
+    """Read an npz archive's `x` (N, C, H, W) images and `y` (N,) labels."""
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh)
+            arrays = ({k: archive[k] for k in ("x", "y") if k in archive}
+                      if isinstance(archive, np.lib.npyio.NpzFile) else {})
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise NpzFormatError(f"{path} is not a readable npz archive: "
+                                 f"{exc}") from exc
+    missing = {"x", "y"} - set(arrays)
+    if missing:
+        raise NpzFormatError(f"{path} holds no array {sorted(missing)}")
+    x, y = arrays["x"], arrays["y"]
+    if x.ndim != 4 or y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
+        raise NpzFormatError(
+            f"{path}: x must be (N, C, H, W) and y (N,) integer labels, "
+            f"got {x.shape} and {y.shape} {y.dtype}")
+    if len(x) != len(y):
+        raise NpzFormatError(f"{path}: {len(x)} images but {len(y)} labels")
+    return x.astype(np.float32), y.astype(np.int64)
 
 
 def _read_exact(fh, count, what):

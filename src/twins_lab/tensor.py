@@ -1,13 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every tensor wraps a row-major numpy array (float32 for experiments,
-float64 for verification). Operations record their inputs and a backward
-closure on the output node; ``backward`` replays the closures in reverse
-topological order, passing each its node's gradient. Only nodes on a path
-to a gradient-requiring leaf are recorded, so constant subgraphs cost
-nothing at backward time. A closure refers to its operands but never to
-its own node, so a graph holds no reference cycle and is freed as soon
-as its loss goes out of scope.
+Every tensor wraps a numpy array (float32 for experiments, float64 for
+verification). Image-shaped tensors are NCHW in shape at every
+interface, but conv and batch-norm outputs are channels-last in memory
+(C innermost): each is the (N, C, H, W) transposed view of an
+(N, H, W, C) array. Elementwise ops keep their operands' memory order,
+and a ``.grad`` may have any memory order.
+
+Operations record their inputs and a backward closure on the output
+node; ``backward`` replays the closures in reverse topological order,
+passing each its node's gradient. Only nodes on a path to a
+gradient-requiring leaf are recorded, so constant subgraphs cost nothing
+at backward time. A closure refers to its operands but never to its own
+node, so a graph holds no reference cycle and is freed as soon as its
+loss goes out of scope.
 
 A reverse pass differentiates toward a set of tensors: the loss's
 ancestors that descend from one of them receive a gradient and run their
@@ -293,9 +299,13 @@ class Tensor:
 
 
 def _im2col(x, kh, kw, stride, pad):
+    """The (N, C, kh, kw, Ho, Wo) windows of `x`, zero-padded in x's
+    memory order."""
     n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros_like(x, shape=(n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+        x = xp
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
@@ -306,18 +316,34 @@ def _im2col(x, kh, kw, stride, pad):
 
 
 def _im2col_matrix(x, kh, kw, stride, pad):
-    """The im2col columns of `x` as an (N, C*kh*kw, Ho*Wo) array."""
+    """The im2col columns of `x`, copied in the order x's memory favours.
+
+    An NCHW-contiguous x (an image, or any one-channel tensor) gives
+    (N, C*kh*kw, Ho*Wo) columns; any other, such as a channels-last
+    activation, gives (N*Ho*Wo, kh*kw*C) rows whose runs of C are
+    contiguous in x.
+    """
     cols, ho, wo = _im2col(x, kh, kw, stride, pad)
-    return cols.reshape(x.shape[0], x.shape[1] * kh * kw, ho * wo), ho, wo
+    n, c = x.shape[:2]
+    if x.flags.c_contiguous:
+        return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+    return (cols.transpose(0, 4, 5, 2, 3, 1).reshape(n * ho * wo, kh * kw * c),
+            ho, wo)
 
 
 def _conv2d_forward(x, k, stride, pad):
-    """Returns the (N, O, Ho, Wo) output and the im2col columns it used."""
+    """Returns the (N, O, Ho, Wo) output, channels-last in memory, and the
+    im2col columns it used."""
     o, _, kh, kw = k.shape
+    n = x.shape[0]
     cols, ho, wo = _im2col_matrix(x, kh, kw, stride, pad)
-    # (O, C*kh*kw) @ (N, C*kh*kw, Ho*Wo) -> (N, O, Ho*Wo), already NCHW
-    out = np.matmul(k.reshape(o, -1), cols)
-    return out.reshape(x.shape[0], o, ho, wo), cols
+    if cols.ndim == 3:
+        # (N, Ho*Wo, C*kh*kw) @ (C*kh*kw, O) -> (N, Ho*Wo, O)
+        out = cols.transpose(0, 2, 1) @ k.reshape(o, -1).T
+    else:
+        # (N*Ho*Wo, kh*kw*C) @ (kh*kw*C, O) -> (N*Ho*Wo, O)
+        out = cols @ k.transpose(0, 2, 3, 1).reshape(o, -1).T
+    return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2), cols
 
 
 def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad, cols=None):
@@ -329,25 +355,46 @@ def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad, cols=None):
     if cols is None:
         cols, _, _ = _im2col_matrix(x, kh, kw, stride, pad)
     n, o = grad_out.shape[:2]
-    dk = np.tensordot(grad_out.reshape(n, o, -1), cols, axes=([0, 2], [0, 2]))
-    return dk.reshape(o, x.shape[1], kh, kw)
+    c = x.shape[1]
+    if cols.ndim == 3:
+        dk = np.tensordot(grad_out.reshape(n, o, -1), cols,
+                          axes=([0, 2], [0, 2]))
+        return dk.reshape(o, c, kh, kw)
+    dk = grad_out.transpose(0, 2, 3, 1).reshape(-1, o).T @ cols
+    return dk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
 
 
-def _conv2d_input_grad(grad_out, k, x_shape, stride, pad):
-    n, c, h, w = x_shape
+def _conv2d_input_grad(grad_out, k, x, stride, pad):
+    """d(conv2d)/d(input), returned in the memory order of `x`.
+
+    Each tap's gk[u,v,i,j,n,c] = sum_o grad_out[n,o,i,j] * k[o,c,u,v] is
+    added at a stride into a padded buffer. For an NCHW-contiguous x,
+    whose few channels would make narrow per-tap GEMMs, gk comes from one
+    GEMM with the batch innermost; otherwise from one GEMM per tap with
+    (N, C) innermost. Either way each strided add runs over contiguous
+    blocks.
+    """
+    n, c, h, w = x.shape
     o, _, kh, kw = k.shape
     ho, wo = grad_out.shape[2], grad_out.shape[3]
-    # gk[u,v,c,i,j,n] = sum_o k[o,c,u,v] * grad_out[n,o,i,j]; batch-last,
-    # so each strided add below runs over contiguous blocks of N
-    gk = np.matmul(k.transpose(2, 3, 1, 0).reshape(kh * kw * c, o),
-                   grad_out.transpose(1, 2, 3, 0).reshape(o, ho * wo * n))
-    gk = gk.reshape(kh, kw, c, ho, wo, n)
-    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=grad_out.dtype)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    g = grad_out.transpose(2, 3, 0, 1).reshape(ho * wo * n, o)
+    if x.flags.c_contiguous:
+        gk = k.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) @ g.T
+        gk = gk.reshape(kh, kw, c, ho, wo, n).transpose(0, 1, 3, 4, 5, 2)
+        dxp = np.zeros((c, hp, wp, n), grad_out.dtype).transpose(1, 2, 3, 0)
+    else:
+        gk = np.matmul(g, np.ascontiguousarray(k.transpose(2, 3, 0, 1)))
+        gk = gk.reshape(kh, kw, ho, wo, n, c)
+        dxp = np.zeros((hp, wp, n, c), grad_out.dtype)
     for u in range(kh):
         for v in range(kw):
-            dxp[:, u:u + ho * stride:stride,
+            dxp[u:u + ho * stride:stride,
                 v:v + wo * stride:stride] += gk[u, v]
-    return dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+    del gk  # the result may reuse its memory, which lowers peak memory
+    dx = np.empty_like(x, dtype=grad_out.dtype)
+    dx[...] = dxp[pad:pad + h, pad:pad + w].transpose(2, 3, 0, 1)
+    return dx
 
 
 def conv2d(x, k, stride=1, pad=0):
@@ -371,8 +418,8 @@ def conv2d(x, k, stride=1, pad=0):
             _accumulate(b, conv2d_weight_grad(a.data, dout, kh, kw, stride,
                                               pad, cols=cols))
         if a.grad is not None:
-            _accumulate(a, _conv2d_input_grad(dout, b.data, a.data.shape,
-                                              stride, pad))
+            _accumulate(a, _conv2d_input_grad(dout, b.data, a.data, stride,
+                                              pad))
 
     return Tensor._make(val, (a, b), bk)
 
@@ -387,10 +434,30 @@ def global_avg_pool(x):
 # -- batch normalization -------------------------------------------------
 #
 # Each op is one graph node with a closed-form backward (Ioffe & Szegedy
-# 2015, arXiv 1502.03167). Statistics are per channel over axes (0, 2, 3)
-# of an NCHW input; gamma, beta and fixed statistics have C entries.
+# 2015, arXiv 1502.03167). Statistics are per channel over the N, H and
+# W axes of an NCHW input. Both ops work on the channels-last view
+# (N, H, W, C), so they reduce over its leading axes and broadcast gamma,
+# beta and fixed statistics, C entries each, with no reshape. For a conv
+# output that view is contiguous; the output is channels-last as well.
 
-_BN_AXES = (0, 2, 3)
+
+def _channel_sum(a):
+    """Sum of an (N, H, W, C) array over its leading axes, as one GEMV.
+
+    numpy's own sum over leading axes adds one pixel's C values at a
+    time; on a conv output the GEMV is several times faster and closer
+    to the float64 sum.
+    """
+    a = a.reshape(-1, a.shape[3])
+    return np.ones(a.shape[0], a.dtype) @ a
+
+
+def _nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
+
+def _nchw(a):
+    return a.transpose(0, 3, 1, 2)
 
 
 def batch_norm(x, gamma, beta, eps):
@@ -400,33 +467,34 @@ def batch_norm(x, gamma, beta, eps):
     (C,) arrays. The backward pass is
     dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
     """
-    c = x.data.shape[1]
-    inv_m = 1.0 / (x.data.size // c)
-    mean = x.data.sum(axis=_BN_AXES, keepdims=True) * inv_m
-    xhat = x.data - mean
-    var = np.square(xhat).sum(axis=_BN_AXES, keepdims=True) * inv_m
+    xt = _nhwc(x.data)
+    inv_m = 1.0 / (xt.size // xt.shape[3])
+    mean = _channel_sum(xt) * inv_m
+    xhat = xt - mean
+    var = _channel_sum(np.square(xhat)) * inv_m
     std = np.sqrt(var + eps)
     xhat /= std
-    g = gamma.data.reshape(1, c, 1, 1)
+    g = gamma.data
     val = xhat * g
-    val += beta.data.reshape(1, c, 1, 1)
+    val += beta.data
 
     def bk(dy):
-        dy_sum = dy.sum(axis=_BN_AXES)
+        dy = _nhwc(dy)
+        dy_sum = _channel_sum(dy)
         if beta.grad is not None:
             _accumulate(beta, dy_sum)
-        dyx_sum = (dy * xhat).sum(axis=_BN_AXES)
+        dyx_sum = _channel_sum(dy * xhat)
         if gamma.grad is not None:
             _accumulate(gamma, dyx_sum)
         if x.grad is not None:
-            dx = xhat * (-inv_m * dyx_sum).reshape(1, c, 1, 1)
+            dx = xhat * (-inv_m * dyx_sum)
             dx += dy
-            dx -= (inv_m * dy_sum).reshape(1, c, 1, 1)
+            dx -= inv_m * dy_sum
             dx *= g / std
-            _accumulate(x, dx)
+            _accumulate(x, _nchw(dx))
 
-    out = Tensor._make(val, (x, gamma, beta), bk)
-    return out, mean.reshape(c), var.reshape(c)
+    out = Tensor._make(_nchw(val), (x, gamma, beta), bk)
+    return out, mean, var
 
 
 def batch_norm_fixed(x, mean, var, gamma, beta, eps):
@@ -435,23 +503,23 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
     One affine node: y = (x - mean) / sigma * gamma + beta, so
     dx = dy * gamma / sigma.
     """
-    c = x.data.shape[1]
-    std = np.sqrt(var + eps).reshape(1, c, 1, 1)
-    xhat = x.data - mean.reshape(1, c, 1, 1)
+    std = np.sqrt(var + eps)
+    xhat = _nhwc(x.data) - mean
     xhat /= std
-    g = gamma.data.reshape(1, c, 1, 1)
+    g = gamma.data
     val = xhat * g
-    val += beta.data.reshape(1, c, 1, 1)
+    val += beta.data
 
     def bk(dy):
+        dy = _nhwc(dy)
         if gamma.grad is not None:
-            _accumulate(gamma, (dy * xhat).sum(axis=_BN_AXES))
+            _accumulate(gamma, _channel_sum(dy * xhat))
         if beta.grad is not None:
-            _accumulate(beta, dy.sum(axis=_BN_AXES))
+            _accumulate(beta, _channel_sum(dy))
         if x.grad is not None:
-            _accumulate(x, dy * (g / std))
+            _accumulate(x, _nchw(dy * (g / std)))
 
-    return Tensor._make(val, (x, gamma, beta), bk)
+    return Tensor._make(_nchw(val), (x, gamma, beta), bk)
 
 
 # -- losses --------------------------------------------------------------
@@ -571,15 +639,15 @@ def finite_diff_grad(f, params, h=1e-5, names=None):
     grads = {}
     for name in names:
         p = params[name]
-        flat = p.data.reshape(-1)
-        g = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        g = np.zeros(p.data.shape, dtype=p.data.dtype)
+        # perturb through the index, in place whatever the memory order
+        for i in np.ndindex(p.data.shape):
+            orig = p.data[i]
+            p.data[i] = orig + h
             fp = f()
-            flat[i] = orig - h
+            p.data[i] = orig - h
             fm = f()
-            flat[i] = orig
+            p.data[i] = orig
             g[i] = (fp - fm) / (2.0 * h)
-        grads[name] = g.reshape(p.data.shape)
+        grads[name] = g
     return grads

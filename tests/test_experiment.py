@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import os
 
@@ -10,7 +12,7 @@ from twins_lab.experiment import (METRICS_HEADER, ConfigError,
                                   ExperimentConfig, parse_train_config,
                                   read_metrics, run_experiment,
                                   write_metrics)
-from twins_lab.data import load_dataset, save_idx
+from twins_lab.data import NpzFormatError, load_dataset, save_idx
 from twins_lab.network import MiniCNN
 from twins_lab.training import DivergenceError, EpochRecord, run_training
 
@@ -167,6 +169,81 @@ def test_cli_gen_data(tmp_path):
     path = _write_config(tmp_path, _base_config(out))
     assert main(["gen-data", path]) == 0
     assert os.path.exists(os.path.join(out, "target.npz"))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_gen_data_reads_back_the_same_split(tmp_path, channels):
+    out = str(tmp_path / "out")
+    cfg = _base_config(out)
+    cfg["target_data"].update(image_shape=[channels, 8, 8], seed=7,
+                              val_fraction=0.3)
+    spec = ExperimentConfig(cfg).target_data
+    (xt, yt), (xv, yv) = load_dataset(spec)
+    assert main(["gen-data", _write_config(tmp_path, cfg)]) == 0
+    if channels == 1:
+        read_back = dataclasses.replace(
+            spec, source="idx-files",
+            images_path=os.path.join(out, "target-images.idx"),
+            labels_path=os.path.join(out, "target-labels.idx"))
+    else:
+        read_back = dataclasses.replace(
+            spec, source="npz", images_path=os.path.join(out, "target.npz"))
+    (rt, ryt), (rv, ryv) = load_dataset(read_back)
+    assert np.array_equal(ryt, yt) and np.array_equal(ryv, yv)
+    if channels == 1:  # IDX stores pixels rounded to 8 bits
+        assert np.abs(rt - xt).max() <= 0.5 / 255 + 1e-7
+        assert np.abs(rv - xv).max() <= 0.5 / 255 + 1e-7
+    else:
+        assert np.array_equal(rt, xt) and np.array_equal(rv, xv)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ({"x": np.zeros((4, 3, 2, 2), np.float32)}, "holds no array"),
+    ({"x": np.zeros((4, 3, 2, 2), np.float32),
+      "y": np.zeros(3, np.int64)}, "4 images but 3 labels"),
+    ({"x": np.zeros((2, 3, 2, 2), np.float32),
+      "y": np.array([0, 2])}, "label 2 of record 1"),
+])
+def test_npz_source_rejects_malformed_archives(tmp_path, capsys, arrays,
+                                               message):
+    archive = str(tmp_path / "data.npz")
+    np.savez(archive, **arrays)
+    cfg = _base_config(str(tmp_path / "out"))
+    cfg["target_data"] = {"source": "npz", "classes": 2,
+                          "image_shape": [3, 2, 2], "images_path": archive}
+    with pytest.raises(NpzFormatError, match=message):
+        load_dataset(ExperimentConfig(cfg).target_data)
+    assert main(["gen-data", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def _npz_bytes(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("body", [
+    b"not an archive",
+    _npz_bytes(x=np.zeros((2, 3, 2, 2)), y=np.zeros(2, np.int64))[:60],
+    None,  # a plain .npy array
+], ids=["garbage", "truncated", "one-array"])
+def test_npz_source_rejects_a_file_that_is_no_archive(tmp_path, capsys,
+                                                       body):
+    path = str(tmp_path / "data.npz")
+    with open(path, "wb") as fh:
+        if body is None:
+            np.save(fh, np.zeros(3))
+        else:
+            fh.write(body)
+    cfg = _base_config(str(tmp_path / "out"))
+    cfg["target_data"] = {"source": "npz", "classes": 2,
+                          "image_shape": [3, 2, 2], "images_path": path}
+    with pytest.raises(NpzFormatError):
+        load_dataset(ExperimentConfig(cfg).target_data)
+    assert main(["gen-data", _write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward, bn_update_running, copy_model,
                                make_finetune_model)
-from twins_lab.tensor import ParamStore, Tensor, backprop, finite_diff_grad
+from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
+                              softmax_cross_entropy)
 from twins_lab.training import TrainConfig, run_training
 from twins_lab.attack import AttackConfig
 
@@ -284,3 +285,24 @@ def test_update_running_defaults_by_mode():
     assert np.array_equal(model.bn[0].running_mean, before)
     model.forward(x, BranchMode.ADAPTIVE_TRAIN)
     assert not np.array_equal(model.bn[0].running_mean, before)
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_conv_outputs_are_channels_last_and_input_grads_keep_layout(mode):
+    model = _model(dtype="float32")
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.uniform(size=(5, 3, 8, 8)).astype(np.float32),
+               requires_grad=True)
+    capture = {}
+    _, logits = model.forward(x, mode, update_running=False, capture=capture)
+    softmax_cross_entropy(logits, rng.integers(0, 3, size=5)).backward(
+        inputs=(x,))
+    for i, width in enumerate(model.config.widths, start=1):
+        pre = capture[f"bn{i}.pre"].data
+        assert pre.shape[:2] == (5, width)  # NCHW in shape
+        assert pre.strides[1] == pre.itemsize  # channels innermost in memory
+        # each conv's input gradient has its input's memory order
+        conv_in = capture[f"bn{i}.in"]
+        assert conv_in.grad.strides == conv_in.data.strides
+    assert capture["bn1.in"].data.flags.c_contiguous
+    assert not capture["bn2.in"].data.flags.c_contiguous

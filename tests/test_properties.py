@@ -1,0 +1,166 @@
+"""Property tests for the conv and batch-norm kernels.
+
+Hypothesis draws the shapes, the geometry and the input's memory layout
+(NCHW-contiguous, a channels-last view, or one channel); every result is
+checked against a direct float64 reference or `finite_diff_grad`.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twins_lab.network import BNLayerState, BranchMode, bn_forward
+from twins_lab.tensor import (ParamStore, _conv2d_forward, backprop, conv2d,
+                              conv2d_weight_grad, finite_diff_grad)
+
+# derandomized, so tier-1 runs the same examples every time
+PROFILE = settings(derandomize=True, database=None, deadline=None,
+                   max_examples=50)
+
+LAYOUTS = ("nchw", "channels-last", "one-channel")
+
+
+def _in_layout(a, layout):
+    """`a` (NCHW in shape) with the memory order `layout` names."""
+    if layout == "nchw":
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _is_channels_last(a):
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _memory_order(a):
+    """The axes of extent > 1, from the slowest-varying to the fastest."""
+    return sorted((ax for ax in range(a.ndim) if a.shape[ax] > 1),
+                  key=lambda ax: -a.strides[ax])
+
+
+@st.composite
+def conv_cases(draw):
+    layout = draw(st.sampled_from(LAYOUTS))
+    c = 1 if layout == "one-channel" else draw(st.integers(2, 3))
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pad = draw(st.integers(0, 2))
+    # down to H < kernel + pad, as long as the padded input holds a window
+    h = draw(st.integers(max(1, kh - 2 * pad), kh + 3))
+    w = draw(st.integers(max(1, kw - 2 * pad), kw + 3))
+    return {"n": draw(st.integers(1, 2)), "c": c, "h": h, "w": w,
+            "o": draw(st.integers(1, 3)), "kh": kh, "kw": kw,
+            "stride": draw(st.integers(1, 4)),  # stride > kernel included
+            "pad": pad, "layout": layout,
+            "seed": draw(st.integers(0, 2**16))}
+
+
+def _conv_reference(x, k, stride, pad):
+    """Cross-correlation by explicit loops over output positions."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    out = np.zeros((n, o, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            win = xp[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+            out[:, :, i, j] = np.tensordot(win, k, axes=([1, 2, 3], [1, 2, 3]))
+    return out
+
+
+@PROFILE
+@given(conv_cases())
+def test_conv2d_matches_reference_and_finite_diff(case):
+    rng = np.random.default_rng(case["seed"])
+    ps = ParamStore()
+    x = ps.add("x", _in_layout(rng.normal(
+        size=(case["n"], case["c"], case["h"], case["w"])), case["layout"]))
+    k = ps.add("k", rng.normal(size=(case["o"], case["c"], case["kh"],
+                                     case["kw"])))
+    stride, pad = case["stride"], case["pad"]
+    out = conv2d(x, k, stride, pad)
+    assert out.shape == _conv_reference(x.data, k.data, stride, pad).shape
+    assert np.allclose(out.data, _conv_reference(x.data, k.data, stride, pad),
+                       rtol=1e-12, atol=1e-12)
+    assert _is_channels_last(out.data)
+    weights = rng.normal(size=out.shape)
+
+    def loss():
+        return (conv2d(x, k, stride, pad) * weights).sum()
+
+    grads = backprop(loss(), ps)
+    # the input gradient comes back in the input's memory order
+    assert _memory_order(x.grad) == _memory_order(x.data)
+    fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6)
+    for name in ("x", "k"):
+        assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
+
+
+@PROFILE
+@given(conv_cases(), st.sampled_from(("nchw", "channels-last")))
+def test_conv2d_weight_grad_with_and_without_cols_bitwise(case, grad_layout):
+    rng = np.random.default_rng(case["seed"])
+    x = _in_layout(rng.normal(size=(case["n"], case["c"], case["h"],
+                                    case["w"])), case["layout"])
+    k = rng.normal(size=(case["o"], case["c"], case["kh"], case["kw"]))
+    args = (case["kh"], case["kw"], case["stride"], case["pad"])
+    out, cols = _conv2d_forward(x, k, case["stride"], case["pad"])
+    g = _in_layout(rng.normal(size=out.shape), grad_layout)
+    reused = conv2d_weight_grad(x, g, *args, cols=cols)
+    assert reused.shape == k.shape
+    assert np.array_equal(reused, conv2d_weight_grad(x, g, *args))
+
+
+@st.composite
+def bn_cases(draw):
+    layout = draw(st.sampled_from(LAYOUTS))
+    c = 1 if layout == "one-channel" else draw(st.integers(2, 4))
+    return {"n": draw(st.integers(2, 3)), "c": c,
+            "h": draw(st.integers(1, 3)), "w": draw(st.integers(1, 3)),
+            "layout": layout, "mode": draw(st.sampled_from(list(BranchMode))),
+            "seed": draw(st.integers(0, 2**16))}
+
+
+@PROFILE
+@given(bn_cases())
+def test_bn_matches_reference_and_finite_diff(case):
+    rng = np.random.default_rng(case["seed"])
+    c, mode = case["c"], case["mode"]
+    ps = ParamStore()
+    state = BNLayerState(c, ps, "bn", np.float64, eps=1e-3)
+    for t in (state.gamma_a, state.gamma_f):
+        t.data = rng.uniform(0.5, 2.0, size=c)
+    for t in (state.beta_a, state.beta_f):
+        t.data = rng.normal(size=c)
+    state.running_mean, state.frozen_mean = rng.normal(size=(2, c))
+    state.running_var, state.frozen_var = rng.uniform(0.5, 2.0, size=(2, c))
+    x = ps.add("x", _in_layout(rng.normal(
+        1.0, 2.0, size=(case["n"], c, case["h"], case["w"])), case["layout"]))
+    branch = "f" if mode is BranchMode.FROZEN_TRAIN else "a"
+    gamma, beta = ps[f"bn.gamma_{branch}"], ps[f"bn.beta_{branch}"]
+
+    y, stats = bn_forward(x, state, mode)
+    if mode is BranchMode.ADAPTIVE_TRAIN:
+        mean, var = x.data.mean(axis=(0, 2, 3)), x.data.var(axis=(0, 2, 3))
+        assert np.allclose(stats[0], mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(stats[1], var, rtol=1e-12, atol=1e-12)
+    elif mode is BranchMode.FROZEN_TRAIN:
+        mean, var = state.frozen_mean, state.frozen_var
+    else:
+        mean, var = state.running_mean, state.running_var
+    shape = (1, c, 1, 1)
+    ref = ((x.data - mean.reshape(shape)) / np.sqrt(var + 1e-3).reshape(shape)
+           * gamma.data.reshape(shape) + beta.data.reshape(shape))
+    assert y.shape == x.shape
+    assert np.allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+
+    weights = rng.normal(size=x.shape)
+
+    def loss():
+        return (bn_forward(x, state, mode)[0] * weights).sum()
+
+    names = ["x", f"bn.gamma_{branch}", f"bn.beta_{branch}"]
+    grads = backprop(loss(), ps, names)
+    fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
+    for name in names:
+        assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
