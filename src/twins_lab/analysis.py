@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import pgd_attack
-from .network import CONV_GEOMETRY, BranchMode
+from .network import CONV_GEOMETRY, BranchMode, predict
 from .tensor import backprop, conv2d_weight_grad, softmax_cross_entropy
 
 
@@ -59,14 +59,12 @@ class ScaleProbeEntry:
 
 
 def _probe_pass(model, layer, branch, x, y):
-    capture = {}
-    _, logits = model.forward(x, branch, update_running=False,
-                              capture=capture)
+    _, logits = model.forward(x, branch, update_running=False)
     loss = softmax_cross_entropy(logits, y)
     grads = backprop(loss, model.params, [layer])
     g = grads[layer]
     vec_norms = np.sqrt((g.reshape(g.shape[0], -1) ** 2).sum(axis=1))
-    return logits.data.copy(), vec_norms, capture
+    return logits.data.copy(), vec_norms
 
 
 def scale_probe(model, layer, gamma_list, batch):
@@ -87,10 +85,10 @@ def scale_probe(model, layer, gamma_list, batch):
     try:
         for branch, tag in ((BranchMode.ADAPTIVE_TRAIN, "adaptive"),
                             (BranchMode.FROZEN_TRAIN, "frozen")):
-            logits0, norms0, _ = _probe_pass(model, layer, branch, x, y)
+            logits0, norms0 = _probe_pass(model, layer, branch, x, y)
             for gamma in gamma_list:
                 kernel.data = base * gamma
-                logits, norms, _ = _probe_pass(model, layer, branch, x, y)
+                logits, norms = _probe_pass(model, layer, branch, x, y)
                 kernel.data = base.copy()
                 scale = np.abs(logits0).max()
                 delta = float(np.abs(logits - logits0).max() / scale)
@@ -149,9 +147,7 @@ def evaluate(model, data, attack_cfg=None, rng=None, batch=128):
     for start in range(0, n, batch):
         xb = x_all[start:start + batch]
         yb = y_all[start:start + batch]
-        _, logits = model.forward(xb, BranchMode.INFERENCE,
-                                  update_running=False)
-        correct += int((logits.data.argmax(axis=1) == yb).sum())
+        correct += int((predict(model, xb, BranchMode.INFERENCE) == yb).sum())
         if attack_cfg is not None:
             adv = pgd_attack(model, BranchMode.INFERENCE, xb, yb, attack_cfg,
                              rng)
@@ -159,9 +155,8 @@ def evaluate(model, data, attack_cfg=None, rng=None, batch=128):
                 raise AssertionError("adversarial input left the eps-ball")
             if adv.min() < 0.0 or adv.max() > 1.0:
                 raise AssertionError("adversarial input left pixel range")
-            _, alog = model.forward(adv, BranchMode.INFERENCE,
-                                    update_running=False)
-            robust += int((alog.data.argmax(axis=1) == yb).sum())
+            robust += int((predict(model, adv, BranchMode.INFERENCE) == yb)
+                          .sum())
     clean_acc = correct / n
     robust_acc = robust / n if attack_cfg is not None else None
     return clean_acc, robust_acc

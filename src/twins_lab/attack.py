@@ -63,13 +63,19 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
         noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape)
         x_adv = project_linf(x + noise.astype(x.dtype), x, cfg.epsilon)
     for _ in range(cfg.steps):
-        xt = Tensor(x_adv, requires_grad=True)
-        _, logits = model.forward(xt, branch, head=head, update_running=False)
-        if cfg.loss_kind == "ce":
-            loss = softmax_cross_entropy(logits, y)
-        else:
-            loss = kl_div_logits(logits, clean_logits)
-        loss.backward(inputs=(xt,))
-        x_adv = project_linf(x_adv + cfg.alpha * np.sign(xt.grad), x,
-                             cfg.epsilon)
+        step = _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head)
+        x_adv = project_linf(x_adv + cfg.alpha * step, x, cfg.epsilon)
     return x_adv
+
+
+def _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head):
+    """Sign of the attack loss's gradient at `x_adv`. The step's graph is
+    freed on return, before the next step builds its own."""
+    xt = Tensor(x_adv, requires_grad=True)
+    _, logits = model.forward(xt, branch, head=head, update_running=False)
+    if cfg.loss_kind == "ce":
+        loss = softmax_cross_entropy(logits, y)
+    else:
+        loss = kl_div_logits(logits, clean_logits)
+    loss.backward(inputs=(xt,))
+    return np.sign(xt.grad)

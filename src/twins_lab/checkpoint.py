@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .network import MiniCNN, ModelConfig
+from .network import MiniCNN, ModelConfig, _is_int
 
 MAGIC = b"TWINSCKP"
 VERSION = 1
@@ -36,10 +36,6 @@ class BadVersionError(CheckpointError):
 
 class PayloadBoundsError(CheckpointError):
     pass
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @contextlib.contextmanager
@@ -155,11 +151,10 @@ def load_checkpoint(path):
     missing = [k for k in _CONFIG_KEYS if k not in mc]
     if missing:
         raise CheckpointError(f"checkpoint model_config misses {missing}")
-    cfg = ModelConfig(
-        input_shape=tuple(mc["input_shape"]), widths=tuple(mc["widths"]),
-        target_classes=mc["target_classes"],
-        source_classes=mc["source_classes"], dtype=mc["dtype"],
-        bn_eps=mc["bn_eps"], bn_momentum=mc["bn_momentum"])
+    try:
+        cfg = ModelConfig(**{k: mc[k] for k in _CONFIG_KEYS})
+    except ValueError as exc:  # a value of the wrong type or range
+        raise CheckpointError(f"checkpoint model_config: {exc}") from exc
     model = MiniCNN(cfg, rng=np.random.default_rng(0))
     try:
         model.load_state_dict(tensors)

@@ -1,6 +1,7 @@
 """Command-line surface: gen-data, pretrain, finetune, eval, analyze, run."""
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -143,7 +144,31 @@ def build_parser():
     return parser
 
 
+# (glibc mallopt parameter, value): M_MMAP_THRESHOLD (-3) at 32 MiB, its
+# largest value on 64-bit systems, and M_TRIM_THRESHOLD (-1) at 128 MiB
+_MALLOPTS = ((-3, 32 << 20), (-1, 128 << 20))
+
+
+def keep_freed_memory():
+    """Let the process keep the memory it frees instead of returning it to
+    the OS, so each training or attack step's arrays reuse the pages the
+    previous step's graph held rather than faulting in fresh ones.
+
+    Applies glibc's mallopt; returns whether every setting took. Where
+    the C library has no mallopt (macOS, Windows, musl), does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a list, so that one refused setting does not skip the others
+    return all([mallopt(param, value) == 1 for param, value in _MALLOPTS])
+
+
 def main(argv=None):
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -53,14 +53,16 @@ def gen_synthetic_dataset(spec):
     rng = np.random.default_rng(spec.seed)
     c, h, w = spec.image_shape
     templates = rng.uniform(0.0, 1.0, size=(spec.classes, c, h, w))
-    xs = []
-    ys = []
+    n = spec.per_class
+    x = np.empty((spec.classes * n, c, h, w), dtype=np.float32)
     for k in range(spec.classes):
-        noise = rng.normal(0.0, 1.0, size=(spec.per_class, c, h, w))
-        xs.append(np.clip(templates[k] + spec.noise_std * noise, 0.0, 1.0))
-        ys.append(np.full(spec.per_class, k, dtype=np.int64))
-    x = np.concatenate(xs).astype(np.float32)
-    y = np.concatenate(ys)
+        block = rng.normal(0.0, 1.0, size=(n, c, h, w))
+        block *= spec.noise_std
+        block += templates[k]
+        # each class is made in float64 and cast as soon as it is made,
+        # which rounds as casting the whole set would, without its copy
+        x[k * n:(k + 1) * n] = np.clip(block, 0.0, 1.0, out=block)
+    y = np.repeat(np.arange(spec.classes, dtype=np.int64), n)
     order = rng.permutation(len(y))
     return x[order], y[order]
 

@@ -13,7 +13,11 @@ passing each its node's gradient. Only nodes on a path to a
 gradient-requiring leaf are recorded, so constant subgraphs cost nothing
 at backward time. A closure refers to its operands but never to its own
 node, so a graph holds no reference cycle and is freed as soon as its
-loss goes out of scope.
+loss goes out of scope. Callers that loop over steps (training, PGD,
+evaluation) drop a step's loss, logits and captured nodes once its
+scalar, sign or argmax has been read, before the next step builds its
+graph: one graph is live at a time, and the next step's same-shaped
+arrays reuse its memory.
 
 A reverse pass differentiates toward a set of tensors: the loss's
 ancestors that descend from one of them receive a gradient and run their

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackConfig, pgd_attack
-from .network import BranchMode, copy_model
+from .network import BranchMode, copy_model, predict
 from .tensor import (Tensor, backprop, kl_div_logits, softmax_cross_entropy)
 
 METHODS = ("std", "at", "trades", "twins-at", "twins-trades", "lwf", "joint")
@@ -133,9 +133,7 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
             xb = x_data[start:start + batch]
             if len(xb) < 2:
                 continue
-            _, logits = model.forward(xb, BranchMode.INFERENCE, head="source",
-                                      update_running=False)
-            pseudo = np.argmax(logits.data, axis=1)
+            pseudo = predict(model, xb, BranchMode.INFERENCE, head="source")
             adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xb, pseudo,
                              attack_cfg, rng, head="source")
             capture = {}
@@ -149,6 +147,8 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
                                      + momentum * mean)
                 state.frozen_var = ((1.0 - momentum) * state.frozen_var
                                     + momentum * var)
+            # frees the frozen pass's graph before the next batch's attack
+            del capture
 
 
 def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
@@ -257,6 +257,8 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
             loss = batch_loss(model, x_train[idx], y_train[idx], cfg, rng, aux)
             grads = backprop(loss, model.params, names)
             losses.append(loss.item())
+            # frees the batch's graph, so the next batch reuses its memory
+            del loss
             norms.append(flat_grad_norm(grads, names))
             if not (np.isfinite(losses[-1]) and np.isfinite(norms[-1])):
                 raise DivergenceError(
@@ -264,6 +266,7 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
                     f"loss {losses[-1]}, gradient norm {norms[-1]}")
             sgd_update(model.params, grads, opt, rate, cfg.lambda_wd,
                        cfg.momentum, names)
+            del grads
         clean_acc, pgd_acc = evaluate(model, val_data, cfg.attack,
                                       rng=np.random.default_rng(
                                           cfg.seed * 100003 + epoch))

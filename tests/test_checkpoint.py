@@ -227,6 +227,33 @@ def test_eval_reports_bn_stat_of_wrong_length(tmp_path, capsys, length):
     _assert_eval_fails(tmp_path, capsys, bad)
 
 
+# (key, value) pairs that each once crashed `twins-lab eval` with a
+# traceback or loaded as a different model than the checkpoint describes
+BAD_MODEL_CONFIGS = [
+    ("widths", 5), ("widths", None), ("widths", []), ("widths", [4, True]),
+    ("input_shape", [0, 16, 16]), ("input_shape", [3]),
+    ("target_classes", "3"), ("target_classes", 0), ("source_classes", -1),
+    ("dtype", "float16"), ("bn_eps", "x"), ("bn_eps", -1e-5),
+    ("bn_momentum", 1.5)]
+
+
+@pytest.mark.parametrize("key,value", BAD_MODEL_CONFIGS)
+def test_bad_model_config_value_is_a_checkpoint_error(tmp_path, capsys, key,
+                                                      value):
+    good = str(tmp_path / "good.ckpt")
+    save_checkpoint(good, _model())
+    with open(good, "rb") as fh:
+        blob = fh.read()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + header_len])
+    header["metadata"]["model_config"][key] = value
+    bad = str(tmp_path / "bad.ckpt")
+    _write_raw(bad, header, blob[12 + header_len:])
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(bad)
+    _assert_eval_fails(tmp_path, capsys, bad)
+
+
 def _assert_eval_fails(tmp_path, capsys, bad):
     cfg = str(tmp_path / "cfg.json")
     with open(cfg, "w", encoding="utf-8") as fh:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,51 @@ def test_synthetic_zero_noise_collapses_to_templates():
     for k in (0, 1):
         cls = x[y == k]
         assert np.array_equal(cls, np.broadcast_to(cls[0], cls.shape))
+
+
+def _float64_then_cast(spec):
+    """The synthetic formula with every image in float64, cast at the end."""
+    rng = np.random.default_rng(spec.seed)
+    c, h, w = spec.image_shape
+    templates = rng.uniform(0.0, 1.0, size=(spec.classes, c, h, w))
+    xs, ys = [], []
+    for k in range(spec.classes):
+        noise = rng.normal(0.0, 1.0, size=(spec.per_class, c, h, w))
+        xs.append(np.clip(templates[k] + spec.noise_std * noise, 0.0, 1.0))
+        ys.append(np.full(spec.per_class, k, dtype=np.int64))
+    x = np.concatenate(xs).astype(np.float32)
+    y = np.concatenate(ys)
+    order = rng.permutation(len(y))
+    return x[order], y[order]
+
+
+@pytest.mark.parametrize("spec", [
+    DatasetSpec(classes=3, image_shape=(3, 16, 16), per_class=40,
+                noise_std=0.35, seed=42),
+    DatasetSpec(classes=10, image_shape=(1, 28, 28), per_class=7,
+                noise_std=2.0, seed=7),
+    DatasetSpec(classes=2, image_shape=(2, 5, 3), per_class=1,
+                noise_std=0.0, seed=0)])
+def test_synthetic_matches_float64_formula_bitwise(spec):
+    x, y = gen_synthetic_dataset(spec)
+    x_ref, y_ref = _float64_then_cast(spec)
+    assert x.dtype == x_ref.dtype and y.dtype == y_ref.dtype
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.array_equal(y, y_ref)
+
+
+def test_synthetic_allocates_no_float64_copy_of_the_set():
+    spec = DatasetSpec(classes=4, image_shape=(3, 16, 16), per_class=200,
+                       seed=1)
+    tracemalloc.start()
+    try:
+        x, _ = gen_synthetic_dataset(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, its shuffled copy and one class in float64: 2.5x; a
+    # float64 copy of the whole set alone would be 2x more
+    assert peak < 3 * x.nbytes
 
 
 def test_split_partitions_dataset():

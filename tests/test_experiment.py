@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = _base_config(str(tmp_path / "out"))
     cfg["typo_section"] = {}
     with pytest.raises(ConfigError):
+        ExperimentConfig(cfg)
+
+
+@pytest.mark.parametrize("key,value", [("widths", []), ("dtype", "float16"),
+                                       ("input_shape", [3, 0, 8])])
+def test_config_rejects_bad_model_values(tmp_path, key, value):
+    cfg = _base_config(str(tmp_path / "out"))
+    cfg["model"][key] = value
+    with pytest.raises(ConfigError, match=key):
         ExperimentConfig(cfg)
 
 
@@ -375,3 +385,48 @@ def test_cli_rejects_idx_label_outside_classes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "label 2 of record 5" in err
     assert not (out / "pretrain_metrics.csv").exists()
+
+
+class _FakeLibc:
+    """A C library whose mallopt returns `result` and records its calls."""
+
+    def __init__(self, result):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt's parameters are glibc's")
+def test_glibc_keeps_freed_memory():
+    assert cli.keep_freed_memory()
+
+
+def test_main_sets_the_allocator_policy_first(monkeypatch, tmp_path):
+    libc = _FakeLibc(1)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert main(["analyze", str(tmp_path / "missing.csv")]) == 1
+    assert libc.calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+
+def test_refused_allocator_setting_is_reported(monkeypatch):
+    libc = _FakeLibc(0)  # a mallopt that refuses every parameter
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert not cli.keep_freed_memory()
+    assert len(libc.calls) == 2
+
+
+def _no_libc(name):
+    raise TypeError("LoadLibrary() argument 1 must be str, not None")
+
+
+# macOS has a C library without mallopt; on Windows CDLL(None) raises
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc])
+def test_no_mallopt_leaves_the_allocator_alone(monkeypatch, tmp_path, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert not cli.keep_freed_memory()
+    assert main(["analyze", str(tmp_path / "missing.csv")]) == 1

@@ -1,15 +1,20 @@
-"""Property tests for the conv and batch-norm kernels.
+"""Property tests for the conv and batch-norm kernels and for PGD.
 
-Hypothesis draws the shapes, the geometry and the input's memory layout
-(NCHW-contiguous, a channels-last view, or one channel); every result is
-checked against a direct float64 reference or `finite_diff_grad`.
+For the kernels, Hypothesis draws the shapes, the geometry and the
+input's memory layout (NCHW-contiguous, a channels-last view, or one
+channel); every result is checked against a direct float64 reference or
+`finite_diff_grad`. For PGD it draws the budget, the step size, the
+number of steps and the attacked branch, and checks the attack's
+invariants (Madry et al., arXiv 1706.06083).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twins_lab.network import BNLayerState, BranchMode, bn_forward
+from twins_lab.attack import AttackConfig, pgd_attack
+from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
+                               bn_forward)
 from twins_lab.tensor import (ParamStore, _conv2d_forward, backprop, conv2d,
                               conv2d_weight_grad, finite_diff_grad)
 
@@ -164,3 +169,59 @@ def test_bn_matches_reference_and_finite_diff(case):
     fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
     for name in names:
         assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
+
+
+def _attack_model():
+    """A float32 MiniCNN whose four BN statistic sets all differ."""
+    model = MiniCNN(ModelConfig(input_shape=(3, 8, 8), widths=(4, 6),
+                                target_classes=3),
+                    rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for state in model.bn:
+        c = state.channels
+        state.running_mean, state.frozen_mean = (
+            rng.normal(0.0, 0.1, size=(2, c)).astype(np.float32))
+        state.running_var, state.frozen_var = (
+            rng.uniform(0.5, 2.0, size=(2, c)).astype(np.float32))
+    return model
+
+
+@st.composite
+def attack_cases(draw, epsilon=st.floats(0.0, 0.1)):
+    return {"cfg": AttackConfig(
+                epsilon=draw(epsilon), alpha=draw(st.floats(0.0, 0.05)),
+                steps=draw(st.integers(0, 4)),
+                rand_init=draw(st.booleans()),
+                loss_kind=draw(st.sampled_from(("ce", "kl_to_clean")))),
+            "branch": draw(st.sampled_from(list(BranchMode))),
+            "seed": draw(st.integers(0, 2**16))}
+
+
+def _attack(model, case):
+    rng = np.random.default_rng(case["seed"])
+    x = rng.uniform(size=(4, 3, 8, 8)).astype(np.float32)
+    y = rng.integers(0, 3, size=4)
+    return x, pgd_attack(model, case["branch"], x, y, case["cfg"], rng=rng)
+
+
+@PROFILE
+@given(attack_cases())
+def test_pgd_stays_in_the_ball_and_leaves_bn_statistics(case):
+    model = _attack_model()
+    stats = {k: v.copy() for k, v in model.stat_arrays().items()}
+    x, adv = _attack(model, case)
+    assert adv.shape == x.shape and adv.dtype == x.dtype
+    # the bounds x ± epsilon are rounded to float32, by under 6e-8 below 1
+    dist = np.abs(adv.astype(np.float64) - x.astype(np.float64)).max()
+    assert dist <= case["cfg"].epsilon + 6e-8
+    assert adv.min() >= 0.0 and adv.max() <= 1.0
+    for name, value in model.stat_arrays().items():
+        assert np.array_equal(value, stats[name]), name
+
+
+@PROFILE
+@given(attack_cases(epsilon=st.just(0.0)))
+def test_pgd_with_zero_budget_returns_the_input(case):
+    x, adv = _attack(_attack_model(), case)
+    assert adv.dtype == x.dtype
+    assert np.array_equal(adv, x)
