@@ -59,7 +59,7 @@ class ScaleProbeEntry:
 
 
 def _probe_pass(model, layer, branch, x, y):
-    _, logits = model.forward(x, branch, update_running=False)
+    _, logits = model.forward(x, branch)
     loss = softmax_cross_entropy(logits, y)
     grads = backprop(loss, model.params, [layer])
     g = grads[layer]
@@ -117,8 +117,7 @@ def frozen_grad_formula_check(model, layer, batch):
     idx = int(layer.replace("conv", ""))
     state = model.bn[idx - 1]
     capture = {}
-    _, logits = model.forward(x, BranchMode.FROZEN_TRAIN,
-                              update_running=False, capture=capture)
+    _, logits = model.forward(x, BranchMode.FROZEN_TRAIN, capture=capture)
     loss = softmax_cross_entropy(logits, y)
     grads = backprop(loss, model.params, [layer])
     bn_out = capture[f"bn{idx}.out"]

@@ -53,8 +53,7 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
         return x.copy()
     clean_logits = None
     if cfg.loss_kind == "kl_to_clean":
-        _, cl = model.forward(Tensor(x), branch, head=head,
-                              update_running=False)
+        _, cl = model.forward(Tensor(x), branch, head=head)
         clean_logits = Tensor(cl.data.copy())
     x_adv = x.copy()
     if cfg.rand_init:
@@ -72,7 +71,7 @@ def _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head):
     """Sign of the attack loss's gradient at `x_adv`. The step's graph is
     freed on return, before the next step builds its own."""
     xt = Tensor(x_adv, requires_grad=True)
-    _, logits = model.forward(xt, branch, head=head, update_running=False)
+    _, logits = model.forward(xt, branch, head=head)
     if cfg.loss_kind == "ce":
         loss = softmax_cross_entropy(logits, y)
     else:

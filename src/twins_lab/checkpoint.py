@@ -7,6 +7,7 @@ relative to the payload start.
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import struct
@@ -18,8 +19,6 @@ from .network import MiniCNN, ModelConfig, _is_int
 MAGIC = b"TWINSCKP"
 VERSION = 1
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
-_CONFIG_KEYS = ("input_shape", "widths", "target_classes", "source_classes",
-                "dtype", "bn_eps", "bn_momentum")
 
 
 class CheckpointError(ValueError):
@@ -133,12 +132,7 @@ def load_tensors(path):
 def save_checkpoint(path, model, metadata=None):
     """Persist a model (parameters, both affine sets, all statistics)."""
     meta = dict(metadata or {})
-    cfg = model.config
-    meta["model_config"] = {
-        "input_shape": list(cfg.input_shape), "widths": list(cfg.widths),
-        "target_classes": cfg.target_classes,
-        "source_classes": cfg.source_classes, "dtype": cfg.dtype,
-        "bn_eps": cfg.bn_eps, "bn_momentum": cfg.bn_momentum}
+    meta["model_config"] = dataclasses.asdict(model.config)
     save_tensors(path, model.state_dict(), meta)
 
 
@@ -148,11 +142,12 @@ def load_checkpoint(path):
     mc = meta.get("model_config") if isinstance(meta, dict) else None
     if not isinstance(mc, dict):
         raise CheckpointError("checkpoint metadata has no model_config")
-    missing = [k for k in _CONFIG_KEYS if k not in mc]
+    keys = [f.name for f in dataclasses.fields(ModelConfig)]
+    missing = [k for k in keys if k not in mc]
     if missing:
         raise CheckpointError(f"checkpoint model_config misses {missing}")
     try:
-        cfg = ModelConfig(**{k: mc[k] for k in _CONFIG_KEYS})
+        cfg = ModelConfig(**{k: mc[k] for k in keys})
     except ValueError as exc:  # a value of the wrong type or range
         raise CheckpointError(f"checkpoint model_config: {exc}") from exc
     model = MiniCNN(cfg, rng=np.random.default_rng(0))

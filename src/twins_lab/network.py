@@ -15,7 +15,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .tensor import (ParamStore, Tensor, batch_norm, batch_norm_fixed, conv2d,
-                     global_avg_pool)
+                     global_avg_pool, linear)
 
 # stride and zero padding of every MiniCNN convolution
 CONV_GEOMETRY = {"stride": 2, "pad": 1}
@@ -181,19 +181,18 @@ class MiniCNN:
             return "src_head.w", "src_head.b"
         raise ValueError(f"unknown head: {head!r}")
 
-    def forward(self, x, mode, head="target", update_running=None,
+    def forward(self, x, mode, head="target", update_running=False,
                 capture=None):
         """Run one branch end to end; returns (features, logits).
 
-        `update_running` defaults to True in ADAPTIVE_TRAIN and is ignored
-        in the other modes. `capture`, if a dict, receives intermediate
-        graph nodes keyed by layer (pre-BN and normalized activations).
+        `update_running` commits the batch statistics to the running
+        estimates in ADAPTIVE_TRAIN and is ignored in the other modes.
+        `capture`, if a dict, receives intermediate graph nodes keyed by
+        layer (pre-BN and normalized activations).
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.config.np_dtype()))
         wname, bname = self.head_names(head)
-        if update_running is None:
-            update_running = mode is BranchMode.ADAPTIVE_TRAIN
         h = x
         for i, state in enumerate(self.bn, start=1):
             pre = conv2d(h, self.params[f"conv{i}"], **CONV_GEOMETRY)
@@ -207,7 +206,7 @@ class MiniCNN:
                 bn_update_running(state, stats)
             h = y.relu()
         features = global_avg_pool(h)
-        logits = features @ self.params[wname] + self.params[bname]
+        logits = linear(features, self.params[wname], self.params[bname])
         return features, logits
 
     # -- state handling --------------------------------------------------
@@ -259,7 +258,7 @@ class MiniCNN:
 def predict(model, x, mode, head="target"):
     """Each row's argmax class under one branch, without updating running
     statistics. The forward graph is freed on return."""
-    _, logits = model.forward(x, mode, head=head, update_running=False)
+    _, logits = model.forward(x, mode, head=head)
     return logits.data.argmax(axis=1)
 
 

@@ -7,6 +7,14 @@ interface, but conv and batch-norm outputs are channels-last in memory
 (N, H, W, C) array. Elementwise ops keep their operands' memory order,
 and a ``.grad`` may have any memory order.
 
+The op set is the one the network runs, each a single graph node with a
+closed-form backward: ``conv2d``, the two batch-norm nodes, ``relu``,
+``global_avg_pool``, ``linear`` (the classifier head), the fused
+cross-entropy and KL losses, and ``feature_distance`` (lwf's penalty).
+``+`` and ``*`` take an operand of the same shape or a scalar, and
+``sum()`` reduces to a scalar; they combine loss terms and let tests
+weight an output. None of them broadcasts.
+
 Operations record their inputs and a backward closure on the output
 node; ``backward`` replays the closures in reverse topological order,
 passing each its node's gradient. Only nodes on a path to a
@@ -48,17 +56,6 @@ def _as_float_array(data, dtype=None):
     if arr.dtype not in _FLOAT_DTYPES:
         arr = arr.astype(np.float64)
     return arr
-
-
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 def _accumulate(t, g):
@@ -158,118 +155,52 @@ class Tensor:
 
     # -- elementwise arithmetic ------------------------------------------
 
-    def _coerce(self, other):
-        return other if isinstance(other, Tensor) else Tensor(
-            np.asarray(other, dtype=self.data.dtype))
+    def _operand(self, other):
+        """`other` as a Tensor of this shape, or a scalar constant."""
+        if not isinstance(other, Tensor):
+            other = Tensor(np.asarray(other, dtype=self.data.dtype))
+            if other.data.ndim == 0:
+                return other
+        if other.data.shape != self.data.shape:
+            raise ShapeError(f"operand shapes differ: {self.data.shape} "
+                             f"vs {other.data.shape}")
+        return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._operand(other)
 
         def bk(dout):
             if a.grad is not None:
-                _accumulate(a, _unbroadcast(dout, a.data.shape))
+                _accumulate(a, dout)
             if b.grad is not None:
-                _accumulate(b, _unbroadcast(dout, b.data.shape))
+                _accumulate(b, dout)
 
         return Tensor._make(a.data + b.data, (a, b), bk)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-
-        def bk(dout):
-            if a.grad is not None:
-                _accumulate(a, -dout)
-
-        return Tensor._make(-a.data, (a,), bk)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._operand(other)
 
         def bk(dout):
             if a.grad is not None:
-                _accumulate(a, _unbroadcast(dout * b.data, a.data.shape))
+                _accumulate(a, dout * b.data)
             if b.grad is not None:
-                _accumulate(b, _unbroadcast(dout * a.data, b.data.shape))
+                _accumulate(b, dout * a.data)
 
         return Tensor._make(a.data * b.data, (a, b), bk)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-
-        def bk(dout):
-            if a.grad is not None:
-                _accumulate(a, _unbroadcast(dout / b.data, a.data.shape))
-            if b.grad is not None:
-                _accumulate(b, _unbroadcast(-dout * a.data / (b.data * b.data),
-                                            b.data.shape))
-
-        return Tensor._make(a.data / b.data, (a, b), bk)
-
-    def sqrt(self):
+    def sum(self):
+        """The sum of every entry, as a 0-d node."""
         a = self
-        val = np.sqrt(a.data)
 
         def bk(dout):
             if a.grad is not None:
-                # subgradient at exactly 0 is defined as 0
-                safe = np.where(val > 0, val, 1.0)
-                _accumulate(a, np.where(val > 0, dout / (2.0 * safe), 0.0))
+                _accumulate(a, np.broadcast_to(dout, a.data.shape))
 
-        return Tensor._make(val, (a,), bk)
-
-    # -- shape ops -------------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        a = self
-        old = a.data.shape
-
-        def bk(dout):
-            if a.grad is not None:
-                _accumulate(a, dout.reshape(old))
-
-        return Tensor._make(a.data.reshape(shape), (a,), bk)
-
-    def sum(self, axis=None, keepdims=False):
-        a = self
-        val = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def bk(dout):
-            if a.grad is not None:
-                g = dout
-                if not keepdims and axis is not None:
-                    ax = axis if isinstance(axis, tuple) else (axis,)
-                    ax = tuple(i % a.data.ndim for i in ax)
-                    g = np.expand_dims(g, ax)
-                _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-        return Tensor._make(val, (a,), bk)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.data.size
-        else:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for i in ax:
-                n *= self.data.shape[i]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    # -- neural net ops --------------------------------------------------
+        return Tensor._make(a.data.sum(), (a,), bk)
 
     def relu(self):
         a = self
@@ -281,22 +212,64 @@ class Tensor:
 
         return Tensor._make(np.maximum(a.data, 0), (a,), bk)
 
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ShapeError("matmul expects 2-D operands")
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ShapeError(
-                f"matmul inner extents differ: {a.data.shape} @ {b.data.shape}")
 
-        def bk(dout):
-            if a.grad is not None:
-                _accumulate(a, dout @ b.data.T)
-            if b.grad is not None:
-                _accumulate(b, a.data.T @ dout)
+# -- dense layers --------------------------------------------------------
 
-        return Tensor._make(a.data @ b.data, (a, b), bk)
+
+def linear(x, w, b):
+    """x @ w + b with x's trailing axes flattened: (N, ...) -> (N, K)."""
+    n = x.data.shape[0]
+    x2 = x.data.reshape(n, -1)
+    if w.data.ndim != 2 or x2.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: input {x.data.shape} does not match "
+                         f"weight {w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear: bias {b.data.shape} does not match "
+                         f"weight {w.data.shape}")
+
+    def bk(dout):
+        if b.grad is not None:
+            _accumulate(b, dout.sum(axis=0))
+        if w.grad is not None:
+            _accumulate(w, x2.T @ dout)
+        if x.grad is not None:
+            _accumulate(x, (dout @ w.data.T).reshape(x.data.shape))
+
+    return Tensor._make(x2 @ w.data + b.data, (x, w, b), bk)
+
+
+def global_avg_pool(x):
+    """Spatial mean per channel: (N,C,H,W) -> (N,C)."""
+    if x.data.ndim != 4:
+        raise ShapeError("global_avg_pool expects NCHW input")
+    inv = np.asarray(1.0 / (x.data.shape[2] * x.data.shape[3]), x.data.dtype)
+
+    def bk(dout):
+        if x.grad is not None:
+            _accumulate(x, np.broadcast_to((dout * inv)[:, :, None, None],
+                                           x.data.shape))
+
+    return Tensor._make(x.data.sum(axis=(2, 3)) * inv, (x,), bk)
+
+
+def feature_distance(feats, ref):
+    """Mean over rows of the L2 distance from `feats` to the constant
+    array `ref`. A row at distance 0 gets a zero gradient."""
+    if feats.data.ndim != 2 or feats.data.shape != np.shape(ref):
+        raise ShapeError(f"feature_distance: features {feats.data.shape} "
+                         f"vs reference {np.shape(ref)}")
+    d = feats.data - ref
+    dist = np.sqrt((d * d).sum(axis=1))
+    inv = np.asarray(1.0 / dist.size, feats.data.dtype)
+
+    def bk(dout):
+        if feats.grad is not None:
+            live = dist > 0
+            g = np.where(live, dout * inv / (2.0 * np.where(live, dist, 1.0)),
+                         0.0)
+            _accumulate(feats, 2.0 * (g[:, None] * d))
+
+    return Tensor._make(dist.sum() * inv, (feats,), bk)
 
 
 # -- convolution ---------------------------------------------------------
@@ -426,13 +399,6 @@ def conv2d(x, k, stride=1, pad=0):
                                               pad))
 
     return Tensor._make(val, (a, b), bk)
-
-
-def global_avg_pool(x):
-    """Spatial mean per channel: (N,C,H,W) -> (N,C)."""
-    if x.data.ndim != 4:
-        raise ShapeError("global_avg_pool expects NCHW input")
-    return x.mean(axis=(2, 3))
 
 
 # -- batch normalization -------------------------------------------------

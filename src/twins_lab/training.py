@@ -11,7 +11,8 @@ import numpy as np
 
 from .attack import AttackConfig, pgd_attack
 from .network import BranchMode, copy_model, predict
-from .tensor import (Tensor, backprop, kl_div_logits, softmax_cross_entropy)
+from .tensor import (backprop, feature_distance, kl_div_logits,
+                     softmax_cross_entropy)
 
 METHODS = ("std", "at", "trades", "twins-at", "twins-trades", "lwf", "joint")
 
@@ -61,18 +62,6 @@ class EpochRecord:
     weight_dist: float
 
 
-class OptState:
-    """Per-parameter SGD velocity, initialized to zero."""
-
-    def __init__(self):
-        self.velocity = {}
-
-    def get(self, name, like):
-        if name not in self.velocity:
-            self.velocity[name] = np.zeros_like(like)
-        return self.velocity[name]
-
-
 def lr_at_epoch(cfg, epoch):
     if not 0 <= epoch < cfg.epochs:
         raise ValueError("epoch out of range")
@@ -80,8 +69,13 @@ def lr_at_epoch(cfg, epoch):
     return cfg.eta * cfg.decay ** drops
 
 
-def sgd_update(params, grads, opt, rate, lambda_wd, momentum, names=None):
-    """Coupled weight decay on all parameters, then momentum step."""
+def sgd_update(params, grads, velocity, rate, lambda_wd, momentum,
+               names=None):
+    """Coupled weight decay on all parameters, then momentum step.
+
+    `velocity` maps parameter names to their momentum buffers; a missing
+    buffer starts at zero.
+    """
     if names is None:
         names = params.names()
     for name in names:
@@ -89,16 +83,12 @@ def sgd_update(params, grads, opt, rate, lambda_wd, momentum, names=None):
             raise KeyError(f"missing gradient for parameter {name!r}")
         p = params[name]
         g = grads[name] + lambda_wd * p.data
-        v = opt.get(name, p.data)
+        if name not in velocity:
+            velocity[name] = np.zeros_like(p.data)
+        v = velocity[name]
         v *= momentum
         v += g
         p.data = p.data - rate * v
-
-
-def _feature_distance(feats, feats_ref):
-    d = feats - feats_ref
-    sq = (d * d).sum(axis=1)
-    return sq.sqrt().mean()
 
 
 def _wing(model, x, adv, y, mode, cfg, update_running):
@@ -138,7 +128,7 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
                              attack_cfg, rng, head="source")
             capture = {}
             model.forward(adv, BranchMode.FROZEN_TRAIN, head="source",
-                          update_running=False, capture=capture)
+                          capture=capture)
             for i, state in enumerate(model.bn, start=1):
                 pre = capture[f"bn{i}.pre"].data
                 mean = pre.mean(axis=(0, 2, 3))
@@ -192,15 +182,13 @@ def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
         pretrained = aux["pretrained"]
         if pretrained.feature_width != model.feature_width:
             raise ValueError("feature width mismatch with the pre-trained copy")
-        ref, _ = pretrained.forward(adv, BranchMode.INFERENCE,
-                                    update_running=False)
-        loss = loss + cfg.lambda_lwf * _feature_distance(
-            feats, Tensor(ref.data.copy()))
+        ref, _ = pretrained.forward(adv, BranchMode.INFERENCE)
+        loss = loss + cfg.lambda_lwf * feature_distance(feats, ref.data)
     if method == "joint" and cfg.lambda_uot != 0.0:
         adv_src = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xs, ys,
                              cfg.attack, rng, head="source")
         _, logits = model.forward(adv_src, BranchMode.ADAPTIVE_TRAIN,
-                                  head="source", update_running=False)
+                                  head="source")
         loss = loss + cfg.lambda_uot * softmax_cross_entropy(logits, ys)
     return loss
 
@@ -227,7 +215,7 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
     rng = np.random.default_rng(cfg.seed)
     names = model.trainable_names(cfg.method)
     init_params = {n: model.params[n].data.copy() for n in names}
-    opt = OptState()
+    velocity = {}
 
     aux = {}
     if cfg.method == "lwf":
@@ -264,7 +252,7 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {batch}: "
                     f"loss {losses[-1]}, gradient norm {norms[-1]}")
-            sgd_update(model.params, grads, opt, rate, cfg.lambda_wd,
+            sgd_update(model.params, grads, velocity, rate, cfg.lambda_wd,
                        cfg.momentum, names)
             del grads
         clean_acc, pgd_acc = evaluate(model, val_data, cfg.attack,

@@ -4,6 +4,15 @@ import os
 
 import pytest
 
+from twins_lab import cli
+
+
+@pytest.fixture(scope="session", autouse=True)
+def allocator_policy():
+    """Run the suite under the allocator setting `twins-lab` itself uses,
+    so a step's freed graph memory is reused rather than faulted in."""
+    cli.keep_freed_memory()
+
 
 class _HalfWrite:
     """A file whose first write stores half its data, then fails."""

@@ -17,7 +17,7 @@ from twins_lab.checkpoint import load_checkpoint, save_checkpoint
 from twins_lab.data import DatasetSpec, load_dataset
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
                                make_finetune_model)
-from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
+from twins_lab.tensor import (Tensor, backprop, finite_diff_grad, linear,
                               softmax_cross_entropy)
 from twins_lab.training import (TrainConfig, batch_loss, run_training,
                                 warmup_bn)
@@ -129,13 +129,11 @@ class _LinearSoftmaxModel:
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
 
-    def forward(self, x, mode, head="target", update_running=None,
+    def forward(self, x, mode, head="target", update_running=False,
                 capture=None):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        flat = x.reshape(x.shape[0], -1)
-        logits = flat @ Tensor(self.w) + Tensor(self.b)
-        return flat, logits
+        return x, linear(x, Tensor(self.w), Tensor(self.b))
 
 
 def test_criterion_4_pgd_closed_form():

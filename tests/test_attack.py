@@ -5,7 +5,7 @@ from twins_lab import tensor
 from twins_lab.attack import AttackConfig, pgd_attack, project_linf
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig
 from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
-                              kl_div_logits, softmax_cross_entropy)
+                              kl_div_logits, linear, softmax_cross_entropy)
 
 
 class LinearSoftmaxModel:
@@ -16,13 +16,11 @@ class LinearSoftmaxModel:
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
 
-    def forward(self, x, mode, head="target", update_running=None,
+    def forward(self, x, mode, head="target", update_running=False,
                 capture=None):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        flat = x.reshape(x.shape[0], -1)
-        logits = flat @ Tensor(self.w) + Tensor(self.b)
-        return flat, logits
+        return x, linear(x, Tensor(self.w), Tensor(self.b))
 
 
 def _linear_setup(seed=0, n=5, d=12, k=3):

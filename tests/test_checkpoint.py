@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -64,6 +65,19 @@ def test_model_round_trip_bitwise(tmp_path, dtype):
     assert set(orig) == set(back)
     for name in orig:
         assert np.array_equal(orig[name], back[name])
+
+
+def test_header_model_config_is_the_model_config(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    model = _model()
+    save_checkpoint(path, model)
+    _, meta = load_tensors(path)
+    fields = [f.name for f in dataclasses.fields(ModelConfig)]
+    assert list(meta["model_config"]) == fields
+    # JSON stores the tuple fields as lists
+    assert meta["model_config"] == json.loads(
+        json.dumps(dataclasses.asdict(model.config)))
+    assert ModelConfig(**meta["model_config"]) == model.config
 
 
 def test_restored_model_predicts_identically(tmp_path):

@@ -282,8 +282,9 @@ def test_update_running_defaults_by_mode():
     before = model.bn[0].running_mean.copy()
     model.forward(x, BranchMode.INFERENCE)
     model.forward(x, BranchMode.FROZEN_TRAIN)
-    assert np.array_equal(model.bn[0].running_mean, before)
     model.forward(x, BranchMode.ADAPTIVE_TRAIN)
+    assert np.array_equal(model.bn[0].running_mean, before)
+    model.forward(x, BranchMode.ADAPTIVE_TRAIN, update_running=True)
     assert not np.array_equal(model.bn[0].running_mean, before)
 
 

@@ -1,6 +1,7 @@
-"""Property tests for the conv and batch-norm kernels and for PGD.
+"""Property tests for the autodiff nodes and for PGD.
 
-For the kernels, Hypothesis draws the shapes, the geometry and the
+For the nodes (conv, batch norm, the linear head, pooling and the
+feature distance), Hypothesis draws the shapes, the geometry and the
 input's memory layout (NCHW-contiguous, a channels-last view, or one
 channel); every result is checked against a direct float64 reference or
 `finite_diff_grad`. For PGD it draws the budget, the step size, the
@@ -16,7 +17,8 @@ from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
 from twins_lab.tensor import (ParamStore, _conv2d_forward, backprop, conv2d,
-                              conv2d_weight_grad, finite_diff_grad)
+                              conv2d_weight_grad, feature_distance,
+                              finite_diff_grad, global_avg_pool, linear)
 
 # derandomized, so tier-1 runs the same examples every time
 PROFILE = settings(derandomize=True, database=None, deadline=None,
@@ -169,6 +171,85 @@ def test_bn_matches_reference_and_finite_diff(case):
     fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
     for name in names:
         assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
+
+
+def _check_grads(ps, out, rng):
+    """Backprop of the node `out()` under random weights matches
+    `finite_diff_grad` for every parameter in `ps`; returns the gradients."""
+    weights = rng.normal(size=out().shape)
+
+    def loss():
+        return (out() * weights).sum()
+
+    grads = backprop(loss(), ps)
+    fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6)
+    for name in ps.names():
+        assert grads[name].shape == ps[name].shape
+        assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8), name
+    return grads
+
+
+@st.composite
+def image_cases(draw):
+    layout = draw(st.sampled_from(LAYOUTS))
+    c = 1 if layout == "one-channel" else draw(st.integers(2, 3))
+    return {"shape": (draw(st.integers(1, 3)), c, draw(st.integers(1, 3)),
+                      draw(st.integers(1, 3))),
+            "layout": layout, "seed": draw(st.integers(0, 2**16))}
+
+
+@PROFILE
+@given(st.one_of(image_cases(),
+                 st.fixed_dictionaries({
+                     "shape": st.tuples(st.integers(1, 3), st.integers(1, 5)),
+                     "layout": st.just(None),
+                     "seed": st.integers(0, 2**16)})),
+       st.integers(1, 3))
+def test_linear_matches_reference_and_finite_diff(case, k):
+    rng = np.random.default_rng(case["seed"])
+    x = rng.normal(size=case["shape"])
+    if case["layout"] is not None:
+        x = _in_layout(x, case["layout"])
+    n, d = x.shape[0], x[0].size
+    ps = ParamStore()
+    ps.add("x", x)
+    ps.add("w", rng.normal(size=(d, k)))
+    ps.add("b", rng.normal(size=k))
+    out = linear(ps["x"], ps["w"], ps["b"])
+    assert out.shape == (n, k)
+    assert np.allclose(out.data, x.reshape(n, d) @ ps["w"].data + ps["b"].data,
+                       rtol=1e-12, atol=1e-12)
+    _check_grads(ps, lambda: linear(ps["x"], ps["w"], ps["b"]), rng)
+
+
+@PROFILE
+@given(image_cases())
+def test_global_avg_pool_matches_reference_and_finite_diff(case):
+    rng = np.random.default_rng(case["seed"])
+    ps = ParamStore()
+    x = ps.add("x", _in_layout(rng.normal(size=case["shape"]), case["layout"]))
+    out = global_avg_pool(x)
+    assert np.allclose(out.data, x.data.mean(axis=(2, 3)),
+                       rtol=1e-12, atol=1e-12)
+    _check_grads(ps, lambda: global_avg_pool(x), rng)
+
+
+@PROFILE
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_feature_distance_matches_reference_and_finite_diff(n, d, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ref = rng.normal(size=(n, d))
+    feats = rng.normal(size=(n, d))
+    # at least one row at distance 0, where the gradient is 0
+    equal = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
+    feats[equal] = ref[equal]
+    ps = ParamStore()
+    ps.add("f", feats)
+    out = feature_distance(ps["f"], ref)
+    assert np.allclose(out.data, np.linalg.norm(feats - ref, axis=1).mean(),
+                       rtol=1e-12, atol=1e-12)
+    grads = _check_grads(ps, lambda: feature_distance(ps["f"], ref), rng)
+    assert np.array_equal(grads["f"][equal], np.zeros((len(equal), d)))
 
 
 def _attack_model():

@@ -4,31 +4,52 @@ import pytest
 from twins_lab.tensor import (ParamStore, ShapeError, Tensor, _conv2d_forward,
                               _im2col, backprop, conv2d, conv2d_weight_grad,
                               finite_diff_grad, global_avg_pool,
-                              kl_div_logits, softmax_cross_entropy)
+                              kl_div_logits, linear, softmax_cross_entropy)
+
+NO_BIAS = Tensor(np.zeros(2))
 
 
 def test_matmul_identity():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     eye = Tensor(np.eye(2))
-    assert np.array_equal((eye @ a).data, a.data)
+    assert np.array_equal(linear(eye, a, NO_BIAS).data, a.data)
 
 
 def test_matmul_annihilator():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     zero = Tensor(np.zeros((2, 2)))
-    assert np.array_equal((a @ zero).data, np.zeros((2, 2)))
+    assert np.array_equal(linear(a, zero, NO_BIAS).data, np.zeros((2, 2)))
 
 
 def test_matmul_hand_value():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal((a @ b).data,
-                          np.array([[19.0, 22.0], [43.0, 50.0]]))
+    bias = Tensor(np.array([1.0, -1.0]))
+    assert np.array_equal(linear(a, b, bias).data,
+                          np.array([[20.0, 21.0], [44.0, 49.0]]))
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+               Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))),
+               Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_elementwise_shape_mismatch_raises(op):
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    apply = (lambda u, v: u + v) if op == "add" else (lambda u, v: u * v)
+    for other in (Tensor(np.ones(3)), Tensor(np.ones((1, 3))),
+                  Tensor(np.ones(())), np.ones((3, 2)), np.ones(3)):
+        with pytest.raises(ShapeError):
+            apply(a, other)
+    # a scalar or a same-shaped operand is accepted
+    assert apply(a, 2.0).shape == (2, 3)
+    assert apply(a, np.full((2, 3), 2.0)).shape == (2, 3)
+    assert apply(a, Tensor(np.ones((2, 3)))).shape == (2, 3)
 
 
 def test_conv2d_identity_kernel():
@@ -232,15 +253,22 @@ def test_finite_diff_rejects_bad_step():
 
 
 def _two_layer_loss(ps, x, y):
-    h = (Tensor(x) @ ps["w1"]).relu()
-    return softmax_cross_entropy(h @ ps["w2"], y)
+    h = linear(Tensor(x), ps["w1"], ps["b1"]).relu()
+    return softmax_cross_entropy(linear(h, ps["w2"], ps["b2"]), y)
+
+
+def _two_layer_params(rng):
+    ps = ParamStore()
+    ps.add("w1", rng.normal(size=(5, 7)))
+    ps.add("b1", rng.normal(size=7))
+    ps.add("w2", rng.normal(size=(7, 3)))
+    ps.add("b2", rng.normal(size=3))
+    return ps
 
 
 def test_backprop_matches_finite_diff_two_layer_net():
     rng = np.random.default_rng(6)
-    ps = ParamStore()
-    ps.add("w1", rng.normal(size=(5, 7)))
-    ps.add("w2", rng.normal(size=(7, 3)))
+    ps = _two_layer_params(rng)
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 3, size=4)
     grads = backprop(_two_layer_loss(ps, x, y), ps)
@@ -255,13 +283,14 @@ def test_backprop_matches_finite_diff_two_layer_net():
 def test_elementwise_ops_match_finite_diff(seed):
     rng = np.random.default_rng(100 + seed)
     ps = ParamStore()
-    ps.add("a", rng.uniform(0.5, 2.0, size=(3, 4)))
-    ps.add("b", rng.uniform(0.5, 2.0, size=(3, 4)))
+    ps.add("a", rng.uniform(-2.0, 2.0, size=(3, 4)))
+    ps.add("b", rng.uniform(-2.0, 2.0, size=(3, 4)))
+    weights = rng.normal(size=(3, 4))
 
     def loss():
         a, b = ps["a"], ps["b"]
-        out = (a * b + a / b + b).sqrt() + (a * a) * 1e-3
-        return out.mean(axis=0).sum()
+        out = (a * b + 0.5 * b).relu() * a + (a * a) * 1e-3 + 2.0
+        return (out * weights).sum()
 
     grads = backprop(loss(), ps)
     fd = finite_diff_grad(lambda: loss().item(), ps)
@@ -273,9 +302,7 @@ def test_elementwise_ops_match_finite_diff(seed):
 
 def test_replay_is_bitwise_deterministic():
     rng = np.random.default_rng(7)
-    ps = ParamStore()
-    ps.add("w1", rng.normal(size=(5, 7)))
-    ps.add("w2", rng.normal(size=(7, 3)))
+    ps = _two_layer_params(rng)
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 3, size=4)
     g1 = backprop(_two_layer_loss(ps, x, y), ps)
@@ -286,19 +313,17 @@ def test_replay_is_bitwise_deterministic():
 
 def test_backward_toward_input_prunes_parameter_buffers():
     rng = np.random.default_rng(8)
-    ps = ParamStore()
-    ps.add("w1", rng.normal(size=(5, 7)))
-    ps.add("w2", rng.normal(size=(7, 3)))
+    ps = _two_layer_params(rng)
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     y = rng.integers(0, 3, size=4)
-    hidden = (x @ ps["w1"]).relu()
-    loss = softmax_cross_entropy(hidden @ ps["w2"], y)
+    hidden = linear(x, ps["w1"], ps["b1"]).relu()
+    loss = softmax_cross_entropy(linear(hidden, ps["w2"], ps["b2"]), y)
     loss.backward()
     full = x.grad.copy()
     loss.backward(inputs=(x,))
     assert np.array_equal(x.grad, full)
     assert hidden.grad is not None
-    assert ps["w1"].grad is None and ps["w2"].grad is None
+    assert all(ps[name].grad is None for name in ps)
 
 
 def test_backward_toward_unreached_tensor_leaves_no_buffer():
@@ -328,9 +353,7 @@ def test_backprop_gives_zeros_to_a_parameter_no_path_reaches():
 
 def test_backprop_single_name_matches_full_map_bitwise():
     rng = np.random.default_rng(9)
-    ps = ParamStore()
-    ps.add("w1", rng.normal(size=(5, 7)))
-    ps.add("w2", rng.normal(size=(7, 3)))
+    ps = _two_layer_params(rng)
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 3, size=4)
     full = backprop(_two_layer_loss(ps, x, y), ps)

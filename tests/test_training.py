@@ -7,10 +7,9 @@ from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.data import DatasetSpec, gen_synthetic_dataset, split_train_val
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, copy_model,
                                make_finetune_model)
-from twins_lab.tensor import (ParamStore, Tensor, backprop,
+from twins_lab.tensor import (ParamStore, Tensor, backprop, feature_distance,
                               softmax_cross_entropy)
-from twins_lab.training import (METHODS, OptState, TrainConfig,
-                                _feature_distance, batch_loss, lr_at_epoch,
+from twins_lab.training import (METHODS, TrainConfig, batch_loss, lr_at_epoch,
                                 run_training, sgd_update, warmup_bn)
 
 ATTACK = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=3,
@@ -113,21 +112,22 @@ def test_train_config_validation():
 def test_sgd_hand_steps():
     ps = ParamStore()
     ps.add("w", np.array([1.0]))
-    opt = OptState()
+    velocity = {}
     # no decay, momentum 0.9, grad 1, rate 0.1:
     # v: 1, 1.9; w: 1 -> 0.9 -> 0.71
-    sgd_update(ps, {"w": np.array([1.0])}, opt, 0.1, 0.0, 0.9)
+    sgd_update(ps, {"w": np.array([1.0])}, velocity, 0.1, 0.0, 0.9)
     assert ps["w"].data[0] == pytest.approx(0.9, abs=1e-15)
-    sgd_update(ps, {"w": np.array([1.0])}, opt, 0.1, 0.0, 0.9)
+    assert velocity["w"][0] == pytest.approx(1.0, abs=1e-15)
+    sgd_update(ps, {"w": np.array([1.0])}, velocity, 0.1, 0.0, 0.9)
     assert ps["w"].data[0] == pytest.approx(0.71, abs=1e-15)
+    assert velocity["w"][0] == pytest.approx(1.9, abs=1e-15)
 
 
 def test_sgd_weight_decay_coupled():
     ps = ParamStore()
     ps.add("w", np.array([2.0]))
-    opt = OptState()
     # g_eff = 0 + 0.5*2 = 1, step = 0.1
-    sgd_update(ps, {"w": np.array([0.0])}, opt, 0.1, 0.5, 0.0)
+    sgd_update(ps, {"w": np.array([0.0])}, {}, 0.1, 0.5, 0.0)
     assert ps["w"].data[0] == pytest.approx(1.9, abs=1e-15)
 
 
@@ -135,14 +135,15 @@ def test_sgd_missing_grad_raises():
     ps = ParamStore()
     ps.add("w", np.array([1.0]))
     with pytest.raises(KeyError):
-        sgd_update(ps, {}, OptState(), 0.1, 0.0, 0.9)
+        sgd_update(ps, {}, {}, 0.1, 0.0, 0.9)
 
 
 def test_feature_distance_hand_value():
-    feats = Tensor(np.array([[3.0, 4.0]]))
-    ref = Tensor(np.array([[0.0, 0.0]]))
-    assert _feature_distance(feats, ref).item() == pytest.approx(5.0,
-                                                                 abs=1e-15)
+    feats = Tensor(np.array([[3.0, 4.0], [1.0, 1.0]]))
+    ref = np.array([[0.0, 0.0], [1.0, 2.0]])
+    # rows at distance 5 and 1
+    assert feature_distance(feats, ref).item() == pytest.approx(3.0,
+                                                                abs=1e-15)
 
 
 def _shared_adv(model, x, y):
