@@ -137,16 +137,21 @@ def evaluate(model, data, attack_cfg=None, rng=None, batch=128):
 
     Clean predictions use Inference normalization; the attack, when
     given, targets the branch used at inference. Robust inputs are
-    re-checked against the eps-ball and pixel-range invariants.
+    re-checked against the eps-ball and pixel-range invariants. A batch
+    the attack returns unchanged (epsilon 0, or no steps and no random
+    start) reuses its clean predictions instead of a second forward.
     """
     x_all, y_all = data
     n = len(y_all)
+    if n == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     robust = 0
     for start in range(0, n, batch):
         xb = x_all[start:start + batch]
         yb = y_all[start:start + batch]
-        correct += int((predict(model, xb, BranchMode.INFERENCE) == yb).sum())
+        hits = int((predict(model, xb, BranchMode.INFERENCE) == yb).sum())
+        correct += hits
         if attack_cfg is not None:
             adv = pgd_attack(model, BranchMode.INFERENCE, xb, yb, attack_cfg,
                              rng)
@@ -154,8 +159,10 @@ def evaluate(model, data, attack_cfg=None, rng=None, batch=128):
                 raise AssertionError("adversarial input left the eps-ball")
             if adv.min() < 0.0 or adv.max() > 1.0:
                 raise AssertionError("adversarial input left pixel range")
-            robust += int((predict(model, adv, BranchMode.INFERENCE) == yb)
-                          .sum())
+            if not np.array_equal(adv, xb):
+                hits = int((predict(model, adv, BranchMode.INFERENCE) == yb)
+                           .sum())
+            robust += hits
     clean_acc = correct / n
     robust_acc = robust / n if attack_cfg is not None else None
     return clean_acc, robust_acc

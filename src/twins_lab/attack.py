@@ -29,14 +29,22 @@ class AttackConfig:
             raise ValueError(f"unknown attack loss kind: {self.loss_kind!r}")
 
 
+def _linf_bounds(x_orig, epsilon):
+    """The lower and upper corners of the eps-ball around `x_orig`,
+    intersected with [0, 1]."""
+    return np.maximum(x_orig - epsilon, 0.0), np.minimum(x_orig + epsilon, 1.0)
+
+
+def _clamp(x, lo, hi):
+    # np.clip(x, lo, hi) by definition, at about a third of its cost;
+    # in place, so a step allocates no more than clip does
+    out = np.maximum(x, lo)
+    return np.minimum(out, hi, out=out)
+
+
 def project_linf(x_adv, x_orig, epsilon):
     """Clamp into [x_orig - eps, x_orig + eps] intersected with [0, 1]."""
-    lo = np.maximum(x_orig - epsilon, 0.0)
-    hi = np.minimum(x_orig + epsilon, 1.0)
-    # np.clip(x_adv, lo, hi) by definition, at about a third of its cost;
-    # in place, so a step allocates no more than clip does
-    out = np.maximum(x_adv, lo)
-    return np.minimum(out, hi, out=out)
+    return _clamp(x_adv, *_linf_bounds(x_orig, epsilon))
 
 
 def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
@@ -59,11 +67,14 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
     if cfg.rand_init:
         if rng is None:
             rng = np.random.default_rng()
-        noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape)
-        x_adv = project_linf(x + noise.astype(x.dtype), x, cfg.epsilon)
+        # the noise is freed at once; the steps hold the bounds instead
+        x_adv = project_linf(
+            x + rng.uniform(-cfg.epsilon, cfg.epsilon,
+                            size=x.shape).astype(x.dtype), x, cfg.epsilon)
+    lo, hi = _linf_bounds(x, cfg.epsilon)
     for _ in range(cfg.steps):
         step = _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head)
-        x_adv = project_linf(x_adv + cfg.alpha * step, x, cfg.epsilon)
+        x_adv = _clamp(x_adv + cfg.alpha * step, lo, hi)
     return x_adv
 
 

@@ -11,7 +11,8 @@ from .attack import AttackConfig
 from .checkpoint import atomic_open, save_checkpoint
 from .data import DatasetSpec, load_dataset
 from .network import MiniCNN, ModelConfig, make_finetune_model
-from .training import TrainConfig, run_training, warmup_bn
+from .training import (TrainConfig, require_val_split, run_training,
+                       warmup_bn)
 
 METRICS_HEADER = ("epoch,lr,train_loss,clean_acc,pgd_acc,"
                   "grad_norm_mean,grad_norm_cv,weight_dist")
@@ -175,6 +176,7 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
     only read, so one load can serve every seed.
     """
     train, val = target
+    require_val_split(val)
     ft = dataclasses.replace(cfg.finetune, seed=seed)
     model = make_finetune_model(pretrained, cfg.model.target_classes,
                                 seed=seed)

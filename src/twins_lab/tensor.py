@@ -405,10 +405,14 @@ def conv2d(x, k, stride=1, pad=0):
 #
 # Each op is one graph node with a closed-form backward (Ioffe & Szegedy
 # 2015, arXiv 1502.03167). Statistics are per channel over the N, H and
-# W axes of an NCHW input. Both ops work on the channels-last view
-# (N, H, W, C), so they reduce over its leading axes and broadcast gamma,
-# beta and fixed statistics, C entries each, with no reshape. For a conv
-# output that view is contiguous; the output is channels-last as well.
+# W axes of an NCHW input, summed by `_channel_sum` on the (N*H*W, C)
+# view of the channels-last array. The elementwise work runs on its
+# (N*H, W*C) rows instead, so numpy's inner loops are W*C long rather
+# than C: every per-channel operand (mean, sigma, gamma, beta and the
+# backward's coefficients) is tiled once to W*C entries, which leaves
+# each element's arithmetic as a broadcast would do it. For a conv
+# output the rows are a free view; any other layout is copied into
+# them. The output is channels-last.
 
 
 def _channel_sum(a):
@@ -430,6 +434,20 @@ def _nchw(a):
     return a.transpose(0, 3, 1, 2)
 
 
+def _rows(a):
+    """The (N*H, W*C) rows of an (N, H, W, C) array."""
+    n, h, w, c = a.shape
+    return a.reshape(n * h, w * c)
+
+
+def _tile(a, w):
+    """The (C,) array `a` repeated w times, to match a row's W*C entries;
+    several times cheaper than np.tile at these sizes."""
+    out = np.empty((w, a.shape[0]), a.dtype)
+    out[...] = a
+    return out.reshape(-1)
+
+
 def batch_norm(x, gamma, beta, eps):
     """Normalize with the batch's own statistics; returns (y, mean, var).
 
@@ -438,32 +456,34 @@ def batch_norm(x, gamma, beta, eps):
     dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
     """
     xt = _nhwc(x.data)
+    shape, w = xt.shape, xt.shape[2]
     inv_m = 1.0 / (xt.size // xt.shape[3])
     mean = _channel_sum(xt) * inv_m
-    xhat = xt - mean
-    var = _channel_sum(np.square(xhat)) * inv_m
+    xhat = _rows(xt) - _tile(mean, w)
+    var = _channel_sum(np.square(xhat).reshape(shape)) * inv_m
     std = np.sqrt(var + eps)
-    xhat /= std
+    xhat /= _tile(std, w)
     g = gamma.data
-    val = xhat * g
-    val += beta.data
+    val = xhat * _tile(g, w)
+    val += _tile(beta.data, w)
 
     def bk(dy):
         dy = _nhwc(dy)
         dy_sum = _channel_sum(dy)
         if beta.grad is not None:
             _accumulate(beta, dy_sum)
-        dyx_sum = _channel_sum(dy * xhat)
+        dy = _rows(dy)
+        dyx_sum = _channel_sum((dy * xhat).reshape(shape))
         if gamma.grad is not None:
             _accumulate(gamma, dyx_sum)
         if x.grad is not None:
-            dx = xhat * (-inv_m * dyx_sum)
+            dx = xhat * _tile(-inv_m * dyx_sum, w)
             dx += dy
-            dx -= inv_m * dy_sum
-            dx *= g / std
-            _accumulate(x, _nchw(dx))
+            dx -= _tile(inv_m * dy_sum, w)
+            dx *= _tile(g / std, w)
+            _accumulate(x, _nchw(dx.reshape(shape)))
 
-    out = Tensor._make(_nchw(val), (x, gamma, beta), bk)
+    out = Tensor._make(_nchw(val.reshape(shape)), (x, gamma, beta), bk)
     return out, mean, var
 
 
@@ -473,23 +493,26 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
     One affine node: y = (x - mean) / sigma * gamma + beta, so
     dx = dy * gamma / sigma.
     """
+    xt = _nhwc(x.data)
+    shape, w = xt.shape, xt.shape[2]
     std = np.sqrt(var + eps)
-    xhat = _nhwc(x.data) - mean
-    xhat /= std
+    xhat = _rows(xt) - _tile(mean, w)
+    xhat /= _tile(std, w)
     g = gamma.data
-    val = xhat * g
-    val += beta.data
+    val = xhat * _tile(g, w)
+    val += _tile(beta.data, w)
 
     def bk(dy):
         dy = _nhwc(dy)
-        if gamma.grad is not None:
-            _accumulate(gamma, _channel_sum(dy * xhat))
         if beta.grad is not None:
             _accumulate(beta, _channel_sum(dy))
+        dy = _rows(dy)
+        if gamma.grad is not None:
+            _accumulate(gamma, _channel_sum((dy * xhat).reshape(shape)))
         if x.grad is not None:
-            _accumulate(x, _nchw(dy * (g / std)))
+            _accumulate(x, _nchw((dy * _tile(g / std, w)).reshape(shape)))
 
-    return Tensor._make(_nchw(val), (x, gamma, beta), bk)
+    return Tensor._make(_nchw(val.reshape(shape)), (x, gamma, beta), bk)
 
 
 # -- losses --------------------------------------------------------------

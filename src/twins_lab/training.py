@@ -201,16 +201,26 @@ def flat_grad_norm(grads, names):
     return float(np.sqrt(total))
 
 
+def require_val_split(val_data):
+    """Raise ValueError if the (x, y) validation split holds no image."""
+    if len(val_data[1]) == 0:
+        raise ValueError("the validation split is empty: raise the "
+                         "dataset's val_fraction so that it holds at least "
+                         "one image")
+
+
 def run_training(cfg, train_data, val_data, model, source_data=None):
     """The per-epoch / per-batch loop; returns (model, history).
 
     `train_data`/`val_data` are (x, y) pairs of arrays. Robust
     pre-training is this same loop with method "at" from random init.
+    An empty validation split fails before the first epoch.
     """
     from .analysis import evaluate, grad_norm_epoch_stats, weight_distance
 
     if cfg.method not in METHODS:
         raise ValueError(f"unknown training method: {cfg.method!r}")
+    require_val_split(val_data)
     x_train, y_train = train_data
     rng = np.random.default_rng(cfg.seed)
     names = model.trainable_names(cfg.method)

@@ -161,3 +161,45 @@ def test_evaluate_with_attack_returns_valid_fraction():
     _, robust = evaluate(model, (x, y), attack,
                          rng=np.random.default_rng(1))
     assert 0.0 <= robust <= 1.0
+
+
+def test_evaluate_rejects_an_empty_dataset():
+    x, y = _batch(n=6)
+    with pytest.raises(ValueError, match="empty"):
+        evaluate(_model(), (x[:0], y[:0]), AttackConfig(epsilon=0.0))
+
+
+def _count_forwards(monkeypatch, model):
+    """The branch mode of every `model.forward` call, appended as made."""
+    modes = []
+    forward = model.forward
+
+    def counting(x, mode, *args, **kwargs):
+        modes.append(mode)
+        return forward(x, mode, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counting)
+    return modes
+
+
+@pytest.mark.parametrize("attack, per_batch", [
+    # the attack returns the batch unchanged: clean predictions are reused
+    (AttackConfig(epsilon=0.0, alpha=0.01, steps=5), 1),
+    (AttackConfig(epsilon=0.1, alpha=0.01, steps=0, rand_init=False), 1),
+    # clean and robust predictions, plus one forward per attack step
+    (AttackConfig(epsilon=0.1, alpha=0.01, steps=0), 2),
+    (AttackConfig(epsilon=0.1, alpha=0.03, steps=2, rand_init=False), 4),
+])
+def test_evaluate_forwards_per_batch(monkeypatch, attack, per_batch):
+    x, y = _batch(seed=10, n=40)
+    reference = evaluate(_model(seed=11), (x, y), attack,
+                         rng=np.random.default_rng(2), batch=16)
+    model = _model(seed=11)
+    modes = _count_forwards(monkeypatch, model)
+    clean, robust = evaluate(model, (x, y), attack,
+                             rng=np.random.default_rng(2), batch=16)
+    assert len(modes) == 3 * per_batch  # batches of 16, 16 and 8
+    assert set(modes) == {network.BranchMode.INFERENCE}
+    assert (clean, robust) == reference
+    if per_batch == 1:
+        assert robust == clean

@@ -7,12 +7,13 @@ import platform
 import numpy as np
 import pytest
 
-from twins_lab import cli, experiment
+from twins_lab import cli, experiment, training
 from twins_lab.cli import main
 from twins_lab.experiment import (METRICS_HEADER, ConfigError,
                                   ExperimentConfig, parse_train_config,
                                   read_metrics, run_experiment,
                                   write_metrics)
+from twins_lab.checkpoint import save_checkpoint
 from twins_lab.data import NpzFormatError, load_dataset, save_idx
 from twins_lab.network import MiniCNN
 from twins_lab.training import DivergenceError, EpochRecord, run_training
@@ -430,3 +431,54 @@ def test_no_mallopt_leaves_the_allocator_alone(monkeypatch, tmp_path, cdll):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     assert not cli.keep_freed_memory()
     assert main(["analyze", str(tmp_path / "missing.csv")]) == 1
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a training step ran")
+
+
+@pytest.mark.parametrize("command, split, val_fraction", [
+    ("run", "target_data", 0.0), ("run", "target_data", 0.001),
+    ("run", "source_data", 0.0), ("pretrain", "source_data", 0.0),
+    ("finetune", "target_data", 0.0)])
+def test_cli_stops_on_an_empty_validation_split(tmp_path, capsys,
+                                                monkeypatch, command, split,
+                                                val_fraction):
+    # 0.001 of 48 images rounds to an empty split
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["source_data"] = dict(cfg["target_data"], seed=1)
+    cfg["pretrain"] = dict(cfg["finetune"])
+    cfg["finetune"]["warmup_epochs"] = 1
+    cfg[split]["val_fraction"] = val_fraction
+    if command == "run" and split == "target_data":
+        # `run` loads the target data after pre-training, which would
+        # write its own artifacts first
+        del cfg["pretrain"]
+    argv = [command, _write_config(tmp_path, cfg)]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+        save_checkpoint(argv[-1], MiniCNN(
+            experiment._source_model_config(ExperimentConfig(cfg))))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the validation split is empty")
+    assert "Traceback" not in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_cli_eval_stops_on_an_empty_validation_split(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["target_data"]["val_fraction"] = 0.0
+    exp = ExperimentConfig(cfg)
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, MiniCNN(exp.model, rng=np.random.default_rng(0)))
+    path = _write_config(tmp_path, cfg)
+    assert main(["eval", path, "--checkpoint", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot evaluate on an empty")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "model.ckpt"]

@@ -4,7 +4,8 @@ For the nodes (conv, batch norm, the linear head, pooling and the
 feature distance), Hypothesis draws the shapes, the geometry and the
 input's memory layout (NCHW-contiguous, a channels-last view, or one
 channel); every result is checked against a direct float64 reference or
-`finite_diff_grad`. For PGD it draws the budget, the step size, the
+`finite_diff_grad`. Batch norm's W*C-wide rows are also checked bitwise
+against the per-channel broadcast formulas, in both float dtypes. For PGD it draws the budget, the step size, the
 number of steps and the attacked branch, and checks the attack's
 invariants (Madry et al., arXiv 1706.06083).
 """
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
-from twins_lab.tensor import (ParamStore, _conv2d_forward, backprop, conv2d,
+from twins_lab.tensor import (_UNWRITTEN, ParamStore, Tensor, _channel_sum,
+                              _conv2d_forward, backprop, batch_norm,
+                              batch_norm_fixed, conv2d,
                               conv2d_weight_grad, feature_distance,
                               finite_diff_grad, global_avg_pool, linear)
 
@@ -171,6 +174,96 @@ def test_bn_matches_reference_and_finite_diff(case):
     fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
     for name in names:
         assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
+
+
+def _broadcast_bn(x, gamma, beta, eps, dy, stats=None):
+    """(y, mean, var, dx, dgamma, dbeta) of batch norm by the per-channel
+    broadcast formulas over the (N, H, W, C) view, with `_channel_sum`'s
+    sums; batch statistics unless fixed `stats` are given."""
+    xt, dyt = x.transpose(0, 2, 3, 1), dy.transpose(0, 2, 3, 1)
+    inv_m = 1.0 / (xt.size // xt.shape[3])
+    if stats is None:
+        mean = _channel_sum(xt) * inv_m
+        xhat = xt - mean
+        var = _channel_sum(np.square(xhat)) * inv_m
+    else:
+        mean, var = stats
+        xhat = xt - mean
+    std = np.sqrt(var + eps)
+    xhat /= std
+    y = xhat * gamma + beta
+    dbeta = _channel_sum(dyt)
+    dgamma = _channel_sum(dyt * xhat)
+    if stats is None:
+        dx = xhat * (-inv_m * dgamma)
+        dx += dyt
+        dx -= inv_m * dbeta
+        dx *= gamma / std
+    else:
+        dx = dyt * (gamma / std)
+    return (y.transpose(0, 3, 1, 2), mean, var, dx.transpose(0, 3, 1, 2),
+            dgamma, dbeta)
+
+
+def _bn_layout(a, layout):
+    """`a` as NCHW-contiguous, channels-last, or a non-contiguous view
+    (every other column of a channels-last buffer)."""
+    if layout != "strided":
+        return _in_layout(a, layout)
+    n, c, h, w = a.shape
+    buf = np.zeros((n, h, 2 * w, c), a.dtype)
+    buf[:, :, ::2] = a.transpose(0, 2, 3, 1)
+    return buf[:, :, ::2].transpose(0, 3, 1, 2)
+
+
+BN_LAYOUTS = ("nchw", "channels-last", "strided")
+
+
+@st.composite
+def bn_row_cases(draw):
+    layout = draw(st.sampled_from(BN_LAYOUTS))
+    # a one-image batch in any other layout is summed in another order
+    # than the rows give; the network only feeds BN channels-last input
+    n = draw(st.integers(1 if layout == "channels-last" else 2, 3))
+    return {"shape": (n, draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                      draw(st.integers(1, 5))),
+            "layout": layout, "dy_layout": draw(st.sampled_from(BN_LAYOUTS)),
+            "dtype": draw(st.sampled_from((np.float32, np.float64))),
+            "fixed": draw(st.booleans()),
+            "seed": draw(st.integers(0, 2**16))}
+
+
+@PROFILE
+@given(bn_row_cases())
+def test_bn_rows_match_broadcast_formulas_bitwise(case):
+    rng = np.random.default_rng(case["seed"])
+    shape, dt = case["shape"], case["dtype"]
+    c = shape[1]
+    x = _bn_layout(rng.normal(1.0, 2.0, size=shape).astype(dt), case["layout"])
+    dy = _bn_layout(rng.normal(size=shape).astype(dt), case["dy_layout"])
+    gamma = rng.uniform(0.5, 2.0, size=c).astype(dt)
+    beta = rng.normal(size=c).astype(dt)
+    stats = None
+    if case["fixed"]:
+        stats = (rng.normal(size=c).astype(dt),
+                 rng.uniform(0.5, 2.0, size=c).astype(dt))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    if stats is None:
+        y, mean, var = batch_norm(*leaves, 1e-3)
+    else:
+        y = batch_norm_fixed(leaves[0], *stats, *leaves[1:], 1e-3)
+        mean, var = stats
+    # the node's own backward on the adjoint `dy`, in dy's memory layout
+    for t in leaves:
+        t.grad = _UNWRITTEN
+    y._backward(dy)
+    ref = _broadcast_bn(x, gamma, beta, 1e-3, dy, stats)
+    got = (y.data, mean, var) + tuple(t.grad for t in leaves)
+    for name, a, b in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"),
+                          got, ref):
+        assert a.dtype == dt, name
+        assert np.array_equal(a, b), name
+    assert _is_channels_last(y.data)
 
 
 def _check_grads(ps, out, rng):
