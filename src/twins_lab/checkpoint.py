@@ -3,12 +3,14 @@
 Layout: 8-byte magic "TWINSCKP", 4-byte little-endian header length, a
 UTF-8 JSON header {version, metadata, tensors:[{name, shape, dtype,
 offset, length}]}, then a raw little-endian payload. Offsets are
-relative to the payload start.
+relative to the payload start; the tensors lie back to back in record
+order and fill the payload exactly.
 """
 
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 
@@ -88,7 +90,8 @@ def load_tensors(path):
         raise CheckpointError("truncated checkpoint header")
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+    # undecodable bytes, malformed JSON, or arrays nested too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
@@ -100,6 +103,7 @@ def load_tensors(path):
         raise CheckpointError("checkpoint header lacks tensors or metadata")
     payload = blob[header_end:]
     tensors = {}
+    end = 0  # where the previous tensor's bytes end
     for rec in records:
         try:
             name, shape, dtype, start, length = (
@@ -119,13 +123,22 @@ def load_tensors(path):
         if start < 0 or length < 0 or start + length > len(payload):
             raise PayloadBoundsError(
                 f"tensor {name!r} lies outside the payload")
-        arr = np.frombuffer(payload[start:start + length],
-                            dtype=_DTYPES[dtype])
-        expected = int(np.prod(shape)) if shape else 1
-        if min(shape, default=0) < 0 or arr.size != expected:
+        if start != end:
+            raise PayloadBoundsError(
+                f"tensor {name!r} does not start where the previous one ends")
+        end = start + length
+        itemsize = np.dtype(_DTYPES[dtype]).itemsize
+        # exact in Python ints, however large the header's extents
+        if (min(shape, default=0) < 0
+                or length != math.prod(shape) * itemsize):
             raise PayloadBoundsError(
                 f"tensor {name!r} has inconsistent size")
+        arr = np.frombuffer(payload[start:start + length],
+                            dtype=_DTYPES[dtype])
         tensors[name] = arr.reshape(shape).copy()
+    if end != len(payload):
+        raise PayloadBoundsError(
+            f"checkpoint has {len(payload) - end} bytes past its last tensor")
     return tensors, header["metadata"]
 
 

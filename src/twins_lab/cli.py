@@ -145,8 +145,10 @@ def build_parser():
 
 
 # (glibc mallopt parameter, value): M_MMAP_THRESHOLD (-3) at 32 MiB, its
-# largest value on 64-bit systems, and M_TRIM_THRESHOLD (-1) at 128 MiB
-_MALLOPTS = ((-3, 32 << 20), (-1, 128 << 20))
+# largest value on 64-bit systems, M_TRIM_THRESHOLD (-1) at 128 MiB, and
+# M_ARENA_MAX (-8) at 1, so the attack's worker thread reuses the memory
+# the main thread frees instead of filling an arena of its own
+_MALLOPTS = ((-3, 32 << 20), (-1, 128 << 20), (-8, 1))
 
 
 def keep_freed_memory():

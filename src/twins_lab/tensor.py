@@ -37,6 +37,19 @@ share memory with a neighbour's. ``backward()`` alone differentiates
 toward every gradient-requiring leaf; ``backprop`` asks for the named
 parameters and ``pgd_attack`` for its input, so an attack step never
 computes a parameter gradient.
+
+Parameters are the only operands whose ``.grad`` outlives a pass, so
+the ops that take one (``conv2d``, both batch-norm nodes and ``linear``)
+decide when they run which operands their closure may add into: those
+tracked at that moment. An untracked operand is not in the graph, and
+its ``.grad`` may be left over from an earlier pass. A forward whose
+parameters do not require gradients also keeps nothing that only their
+gradients read: ``conv2d`` drops its im2col columns, ``batch_norm_fixed``
+scales x-hat into its output in place instead of keeping it, and
+``linear`` drops its flattened input. ``pgd_attack`` runs that way, so
+its graphs hold only what the input gradient needs and contain no
+parameter node; two such graphs share no node and may be built and
+differentiated in two threads at once.
 """
 
 import numpy as np
@@ -227,15 +240,20 @@ def linear(x, w, b):
         raise ShapeError(f"linear: bias {b.data.shape} does not match "
                          f"weight {w.data.shape}")
 
+    val = x2 @ w.data + b.data
+    grad_x, grad_w, grad_b = x._tracked(), w._tracked(), b._tracked()
+    if not grad_w:
+        x2 = None  # only the weight gradient reads the input
+
     def bk(dout):
-        if b.grad is not None:
+        if grad_b and b.grad is not None:
             _accumulate(b, dout.sum(axis=0))
-        if w.grad is not None:
+        if grad_w and w.grad is not None:
             _accumulate(w, x2.T @ dout)
-        if x.grad is not None:
+        if grad_x and x.grad is not None:
             _accumulate(x, (dout @ w.data.T).reshape(x.data.shape))
 
-    return Tensor._make(x2 @ w.data + b.data, (x, w, b), bk)
+    return Tensor._make(val, (x, w, b), bk)
 
 
 def global_avg_pool(x):
@@ -389,12 +407,15 @@ def conv2d(x, k, stride=1, pad=0):
         raise ShapeError("stride must be >= 1")
     val, cols = _conv2d_forward(x.data, k.data, stride, pad)
     a, b = x, k
+    grad_a, grad_b = a._tracked(), b._tracked()
+    if not grad_b:
+        cols = None  # only the kernel gradient reads the columns
 
     def bk(dout):
-        if b.grad is not None:
+        if grad_b and b.grad is not None:
             _accumulate(b, conv2d_weight_grad(a.data, dout, kh, kw, stride,
                                               pad, cols=cols))
-        if a.grad is not None:
+        if grad_a and a.grad is not None:
             _accumulate(a, _conv2d_input_grad(dout, b.data, a.data, stride,
                                               pad))
 
@@ -466,17 +487,18 @@ def batch_norm(x, gamma, beta, eps):
     g = gamma.data
     val = xhat * _tile(g, w)
     val += _tile(beta.data, w)
+    grad_x, grad_g, grad_b = x._tracked(), gamma._tracked(), beta._tracked()
 
     def bk(dy):
         dy = _nhwc(dy)
         dy_sum = _channel_sum(dy)
-        if beta.grad is not None:
+        if grad_b and beta.grad is not None:
             _accumulate(beta, dy_sum)
         dy = _rows(dy)
         dyx_sum = _channel_sum((dy * xhat).reshape(shape))
-        if gamma.grad is not None:
+        if grad_g and gamma.grad is not None:
             _accumulate(gamma, dyx_sum)
-        if x.grad is not None:
+        if grad_x and x.grad is not None:
             dx = xhat * _tile(-inv_m * dyx_sum, w)
             dx += dy
             dx -= _tile(inv_m * dy_sum, w)
@@ -499,17 +521,21 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
     xhat = _rows(xt) - _tile(mean, w)
     xhat /= _tile(std, w)
     g = gamma.data
-    val = xhat * _tile(g, w)
+    grad_x, grad_g, grad_b = x._tracked(), gamma._tracked(), beta._tracked()
+    # only the gamma gradient reads xhat; without it, scale in place
+    val = np.multiply(xhat, _tile(g, w), out=None if grad_g else xhat)
     val += _tile(beta.data, w)
+    if not grad_g:
+        xhat = None
 
     def bk(dy):
         dy = _nhwc(dy)
-        if beta.grad is not None:
+        if grad_b and beta.grad is not None:
             _accumulate(beta, _channel_sum(dy))
         dy = _rows(dy)
-        if gamma.grad is not None:
+        if grad_g and gamma.grad is not None:
             _accumulate(gamma, _channel_sum((dy * xhat).reshape(shape)))
-        if x.grad is not None:
+        if grad_x and x.grad is not None:
             _accumulate(x, _nchw((dy * _tile(g / std, w)).reshape(shape)))
 
     return Tensor._make(_nchw(val.reshape(shape)), (x, gamma, beta), bk)

@@ -17,8 +17,8 @@ from twins_lab.checkpoint import load_checkpoint, save_checkpoint
 from twins_lab.data import DatasetSpec, load_dataset
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
                                make_finetune_model)
-from twins_lab.tensor import (Tensor, backprop, finite_diff_grad, linear,
-                              softmax_cross_entropy)
+from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
+                              linear, softmax_cross_entropy)
 from twins_lab.training import (TrainConfig, batch_loss, run_training,
                                 warmup_bn)
 
@@ -126,14 +126,15 @@ def test_criterion_3_frozen_gradient_formula():
 class _LinearSoftmaxModel:
     def __init__(self, w, b):
         self.config = ModelConfig(dtype="float64")
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+        self.params = ParamStore()
+        self.w = self.params.add("w", w, dtype=np.float64).data
+        self.b = self.params.add("b", b, dtype=np.float64).data
 
     def forward(self, x, mode, head="target", update_running=False,
                 capture=None):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        return x, linear(x, Tensor(self.w), Tensor(self.b))
+        return x, linear(x, self.params["w"], self.params["b"])
 
 
 def test_criterion_4_pgd_closed_form():

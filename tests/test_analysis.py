@@ -4,6 +4,7 @@ import pytest
 from twins_lab.analysis import (evaluate, frozen_grad_formula_check,
                                 grad_norm_epoch_stats, overfitting_gap,
                                 scale_probe, weight_distance)
+from twins_lab import attack as attack_module
 from twins_lab import network
 from twins_lab.attack import AttackConfig
 from twins_lab.network import MiniCNN, ModelConfig
@@ -169,37 +170,61 @@ def test_evaluate_rejects_an_empty_dataset():
         evaluate(_model(), (x[:0], y[:0]), AttackConfig(epsilon=0.0))
 
 
-def _count_forwards(monkeypatch, model):
-    """The branch mode of every `model.forward` call, appended as made."""
-    modes = []
+def _count_forwarded_images(monkeypatch, model):
+    """Branch mode -> images passed through `model.forward`, summed once
+    the returned `total()` is called. Each call appends one (mode, count)
+    pair; appending is atomic, so calls from any thread are counted."""
+    calls = []
     forward = model.forward
 
     def counting(x, mode, *args, **kwargs):
-        modes.append(mode)
+        calls.append((mode, x.shape[0]))
         return forward(x, mode, *args, **kwargs)
 
+    def total():
+        images = {}
+        for mode, count in calls:
+            images[mode] = images.get(mode, 0) + count
+        return images
+
     monkeypatch.setattr(model, "forward", counting)
-    return modes
+    return total
 
 
-@pytest.mark.parametrize("attack, per_batch", [
+FORWARDS_PER_BATCH = [
     # the attack returns the batch unchanged: clean predictions are reused
     (AttackConfig(epsilon=0.0, alpha=0.01, steps=5), 1),
     (AttackConfig(epsilon=0.1, alpha=0.01, steps=0, rand_init=False), 1),
-    # clean and robust predictions, plus one forward per attack step
+    # clean and robust predictions, plus one pass per attack step
     (AttackConfig(epsilon=0.1, alpha=0.01, steps=0), 2),
     (AttackConfig(epsilon=0.1, alpha=0.03, steps=2, rand_init=False), 4),
-])
+]
+
+
+@pytest.mark.parametrize("attack, per_batch", FORWARDS_PER_BATCH)
 def test_evaluate_forwards_per_batch(monkeypatch, attack, per_batch):
+    _check_forwards_per_batch(monkeypatch, attack, per_batch)
+
+
+@pytest.mark.parametrize("attack, per_batch", FORWARDS_PER_BATCH)
+def test_evaluate_forwards_per_batch_with_split_attacks(monkeypatch, attack,
+                                                        per_batch):
+    # every batch's attack runs as two halves, of 8 or 4 images
+    monkeypatch.setattr(attack_module, "_MIN_SPLIT_BATCH", 2)
+    _check_forwards_per_batch(monkeypatch, attack, per_batch)
+
+
+def _check_forwards_per_batch(monkeypatch, attack, per_batch):
     x, y = _batch(seed=10, n=40)
     reference = evaluate(_model(seed=11), (x, y), attack,
                          rng=np.random.default_rng(2), batch=16)
     model = _model(seed=11)
-    modes = _count_forwards(monkeypatch, model)
+    forwarded = _count_forwarded_images(monkeypatch, model)
     clean, robust = evaluate(model, (x, y), attack,
                              rng=np.random.default_rng(2), batch=16)
-    assert len(modes) == 3 * per_batch  # batches of 16, 16 and 8
-    assert set(modes) == {network.BranchMode.INFERENCE}
+    # each of the 40 images passes per_batch times, however a batch's
+    # attack steps are split
+    assert forwarded() == {network.BranchMode.INFERENCE: per_batch * len(y)}
     assert (clean, robust) == reference
     if per_batch == 1:
         assert robust == clean

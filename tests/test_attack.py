@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
-from twins_lab import tensor
+from twins_lab import attack, tensor
 from twins_lab.attack import AttackConfig, pgd_attack, project_linf
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig
-from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
+from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
                               kl_div_logits, linear, softmax_cross_entropy)
 
 
@@ -13,14 +15,15 @@ class LinearSoftmaxModel:
 
     def __init__(self, w, b):
         self.config = ModelConfig(dtype="float64")
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+        self.params = ParamStore()
+        self.w = self.params.add("w", w, dtype=np.float64).data
+        self.b = self.params.add("b", b, dtype=np.float64).data
 
     def forward(self, x, mode, head="target", update_running=False,
                 capture=None):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        return x, linear(x, Tensor(self.w), Tensor(self.b))
+        return x, linear(x, self.params["w"], self.params["b"])
 
 
 def _linear_setup(seed=0, n=5, d=12, k=3):
@@ -261,3 +264,82 @@ def test_backprop_after_attack_matches_finite_diff():
                / np.maximum(np.abs(fd[name]), 1e-12))
         assert rel[mask].max(initial=0.0) <= 1e-4, name
     assert live > 0
+
+
+def _record_forwards(monkeypatch, model):
+    """(thread id, batch size) of every `model.forward` call; appending
+    is atomic, so calls from any thread are recorded."""
+    calls = []
+    forward = model.forward
+
+    def recording(x, mode, *args, **kwargs):
+        calls.append((threading.get_ident(), x.shape[0]))
+        return forward(x, mode, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording)
+    return calls
+
+
+@pytest.mark.parametrize("branch, n, cpus, threads, rows", [
+    # fixed statistics, even batch of at least 128: two halves, at once
+    # on two CPUs ...
+    (BranchMode.INFERENCE, 128, 2, 2, 64),
+    (BranchMode.FROZEN_TRAIN, 130, 2, 2, 65),
+    # ... and one after the other in the calling thread on one CPU
+    (BranchMode.INFERENCE, 128, 1, 1, 64),
+    # batch statistics, an odd or a smaller batch: the whole batch at once
+    (BranchMode.ADAPTIVE_TRAIN, 128, 2, 1, 128),
+    (BranchMode.INFERENCE, 129, 2, 1, 129),
+    (BranchMode.FROZEN_TRAIN, 126, 2, 1, 126),
+])
+def test_attack_split_rule(monkeypatch, branch, n, cpus, threads, rows):
+    monkeypatch.setattr(attack, "_usable_cpus", lambda: cpus)
+    model = _mini_model()
+    rng = np.random.default_rng(14)
+    x = rng.uniform(size=(n, 3, 8, 8))
+    y = rng.integers(0, 3, size=n)
+    calls = _record_forwards(monkeypatch, model)
+    cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=3,
+                       loss_kind="kl_to_clean")
+    pgd_attack(model, branch, x, y, cfg, rng=np.random.default_rng(0))
+    assert len({ident for ident, _ in calls}) == threads
+    assert {size for _, size in calls} == {rows}
+    # per part: one clean pass for the divergence target, one per step
+    assert len(calls) == (n // rows) * (1 + cfg.steps)
+    if threads == 1:
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+
+
+def test_attack_half_failure_is_raised_by_the_caller(monkeypatch):
+    monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+    model = _mini_model()
+    flags = {name: p.requires_grad for name, p in model.params.items()}
+    x = np.random.default_rng(15).uniform(size=(128, 3, 8, 8))
+    y = np.zeros(128, int)
+    y[-1] = 7  # out of range, in the second half only
+    cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=2)
+    with pytest.raises(ValueError, match="labels must lie in"):
+        pgd_attack(model, BranchMode.INFERENCE, x, y, cfg,
+                   rng=np.random.default_rng(0))
+    assert {name: p.requires_grad for name, p in model.params.items()} == flags
+
+
+def test_attack_restores_each_parameter_flag_and_stale_gradient():
+    model = _mini_model()
+    model.params["conv2"].requires_grad = False  # as lwf's frozen copy
+    flags = {name: p.requires_grad for name, p in model.params.items()}
+    stale = {name: np.full_like(p.data, 7.0)
+             for name, p in model.params.items()}
+    for name, p in model.params.items():
+        p.grad = stale[name]
+    rng = np.random.default_rng(16)
+    x = rng.uniform(size=(4, 3, 8, 8))
+    y = rng.integers(0, 3, size=4)
+    for branch in BranchMode:
+        pgd_attack(model, branch, x, y,
+                   AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=2),
+                   rng=np.random.default_rng(0))
+    assert {name: p.requires_grad for name, p in model.params.items()} == flags
+    # no attack graph holds a parameter, so none is written to
+    for name, p in model.params.items():
+        assert p.grad is stale[name], name

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twins_lab.checkpoint import (MAGIC, BadMagicError, BadVersionError,
                                   CheckpointError, PayloadBoundsError,
@@ -297,3 +299,157 @@ def test_undecodable_header(tmp_path):
         fh.write(MAGIC + struct.pack("<I", 4) + b"\xff\xfe{[")
     with pytest.raises(CheckpointError):
         load_tensors(path)
+
+
+# -- byte-level fuzz ---------------------------------------------------------
+#
+# A malformed file must fail with CheckpointError, never another exception
+# and never a silent load of other data. Bytes of the tensor payload carry
+# no check in format version 1, so a flip there loads as other weights;
+# the header flips below must fail or load the very same tensors.
+
+
+def _good_blob(tmp_path):
+    path = str(tmp_path / "good.ckpt")
+    save_checkpoint(path, _model(), {"stage": "fuzz"})
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _write_blob(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return str(path)
+
+
+def _split(blob):
+    """(header bytes, payload bytes) of a well-formed checkpoint."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return blob[12:12 + header_len], blob[12 + header_len:]
+
+
+def _assemble(header, payload):
+    return MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+def test_every_truncated_checkpoint_is_a_checkpoint_error(tmp_path):
+    blob = _good_blob(tmp_path)
+    path = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_write_blob(path, blob[:size]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_flipped_header_byte_fails_or_loads_the_same_tensors(tmp_path_factory,
+                                                            data):
+    tmp = tmp_path_factory.getbasetemp()
+    blob = _good_blob(tmp)
+    header, _ = _split(blob)
+    at = data.draw(st.integers(0, 12 + len(header) - 1), label="byte")
+    mask = data.draw(st.integers(1, 255), label="xor mask")
+    bad = bytearray(blob)
+    bad[at] ^= mask
+    try:
+        model, _ = load_checkpoint(_write_blob(tmp / "flip.ckpt", bytes(bad)))
+    except CheckpointError:
+        return
+    # the flip hit a value that leaves every tensor where it was, such as
+    # the metadata or bn_eps
+    original = _model().state_dict()
+    loaded = model.state_dict()
+    assert set(loaded) == set(original)
+    for name, value in original.items():
+        assert np.array_equal(loaded[name], value), name
+
+
+def _other_model_header(blob, tmp_path):
+    other = MiniCNN(ModelConfig(input_shape=(3, 8, 8), widths=(5, 6),
+                                target_classes=3, source_classes=2))
+    path = str(tmp_path / "other.ckpt")
+    save_checkpoint(path, other)
+    with open(path, "rb") as fh:
+        other_header, _ = _split(fh.read())
+    return _assemble(other_header, _split(blob)[1])
+
+
+def _other_model_payload(blob, tmp_path):
+    other = MiniCNN(ModelConfig(input_shape=(3, 8, 8), widths=(4, 5),
+                                target_classes=3, source_classes=2))
+    path = str(tmp_path / "other.ckpt")
+    save_checkpoint(path, other)
+    with open(path, "rb") as fh:
+        other_payload = _split(fh.read())[1]
+    return _assemble(_split(blob)[0], other_payload)
+
+
+def _length_prefix(delta):
+    def splice(blob, tmp_path):
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        return blob[:8] + struct.pack("<I", header_len + delta) + blob[12:]
+    splice.__name__ = f"length_prefix_{delta:+d}"
+    return splice
+
+
+def _two_files_back_to_back(blob, tmp_path):
+    return blob + blob
+
+
+def _header_twice(blob, tmp_path):
+    header, payload = _split(blob)
+    return _assemble(header + header, payload)
+
+
+def _deeply_nested_header(blob, tmp_path):
+    return _assemble(b"[" * 100_000 + b"]" * 100_000, _split(blob)[1])
+
+
+def _record_edit(**fields):
+    def splice(blob, tmp_path):
+        header, payload = _split(blob)
+        parsed = json.loads(header)
+        parsed["tensors"][0].update(fields)
+        return _assemble(json.dumps(parsed).encode(), payload)
+    splice.__name__ = "record_" + "_".join(fields)
+    return splice
+
+
+def _record_reads_its_neighbour(blob, tmp_path):
+    """bn1.beta_a's record points at bn1.gamma_a's bytes, of equal size."""
+    header, payload = _split(blob)
+    parsed = json.loads(header)
+    records = {rec["name"]: rec for rec in parsed["tensors"]}
+    records["bn1.beta_a"]["offset"] = records["bn1.gamma_a"]["offset"]
+    return _assemble(json.dumps(parsed).encode(), payload)
+
+
+SPLICES = [
+    _other_model_header, _other_model_payload,
+    _length_prefix(-1), _length_prefix(1), _length_prefix(8),
+    _two_files_back_to_back, _header_twice, _deeply_nested_header,
+    # a length that is not a whole number of elements
+    _record_edit(length=5, shape=[1]),
+    # extents whose int64 product wraps to the record's size of 0
+    _record_edit(length=0, shape=[2**32, 2**32, 1]),
+    _record_edit(shape=[2**70]),
+    _record_reads_its_neighbour,
+]
+
+
+@pytest.mark.parametrize("splice", SPLICES, ids=lambda f: f.__name__)
+def test_spliced_checkpoint_is_a_checkpoint_error(tmp_path, capsys, splice):
+    bad = _write_blob(tmp_path / "bad.ckpt",
+                      splice(_good_blob(tmp_path), tmp_path))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+    _assert_eval_fails(tmp_path, capsys, bad)
+
+
+@pytest.mark.parametrize("cut", [0, 7, 11, 12, 100, -1])
+def test_eval_reports_truncated_checkpoint_as_error(tmp_path, capsys, cut):
+    blob = _good_blob(tmp_path)
+    header_len = len(_split(blob)[0])
+    size = {100: 12 + header_len + 100, -1: len(blob) - 1}.get(cut, cut)
+    _assert_eval_fails(tmp_path, capsys,
+                       _write_blob(tmp_path / "cut.ckpt", blob[:size]))

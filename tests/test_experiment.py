@@ -411,14 +411,14 @@ def test_main_sets_the_allocator_policy_first(monkeypatch, tmp_path):
     libc = _FakeLibc(1)
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
     assert main(["analyze", str(tmp_path / "missing.csv")]) == 1
-    assert libc.calls == [(-3, 32 << 20), (-1, 128 << 20)]
+    assert libc.calls == [(-3, 32 << 20), (-1, 128 << 20), (-8, 1)]
 
 
 def test_refused_allocator_setting_is_reported(monkeypatch):
     libc = _FakeLibc(0)  # a mallopt that refuses every parameter
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
     assert not cli.keep_freed_memory()
-    assert len(libc.calls) == 2
+    assert len(libc.calls) == 3
 
 
 def _no_libc(name):

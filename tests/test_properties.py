@@ -7,13 +7,18 @@ channel); every result is checked against a direct float64 reference or
 `finite_diff_grad`. Batch norm's W*C-wide rows are also checked bitwise
 against the per-channel broadcast formulas, in both float dtypes. For PGD it draws the budget, the step size, the
 number of steps and the attacked branch, and checks the attack's
-invariants (Madry et al., arXiv 1706.06083).
+invariants (Madry et al., arXiv 1706.06083), and that an attack on two
+CPUs, whose halves run in two threads at once, is bitwise the attack on
+one CPU.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twins_lab import attack
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
@@ -345,18 +350,18 @@ def test_feature_distance_matches_reference_and_finite_diff(n, d, data):
     assert np.array_equal(grads["f"][equal], np.zeros((len(equal), d)))
 
 
-def _attack_model():
-    """A float32 MiniCNN whose four BN statistic sets all differ."""
+def _attack_model(dtype="float32"):
+    """A MiniCNN whose four BN statistic sets all differ."""
     model = MiniCNN(ModelConfig(input_shape=(3, 8, 8), widths=(4, 6),
-                                target_classes=3),
+                                target_classes=3, dtype=dtype),
                     rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for state in model.bn:
         c = state.channels
         state.running_mean, state.frozen_mean = (
-            rng.normal(0.0, 0.1, size=(2, c)).astype(np.float32))
+            rng.normal(0.0, 0.1, size=(2, c)).astype(dtype))
         state.running_var, state.frozen_var = (
-            rng.uniform(0.5, 2.0, size=(2, c)).astype(np.float32))
+            rng.uniform(0.5, 2.0, size=(2, c)).astype(dtype))
     return model
 
 
@@ -399,3 +404,36 @@ def test_pgd_with_zero_budget_returns_the_input(case):
     x, adv = _attack(_attack_model(), case)
     assert adv.dtype == x.dtype
     assert np.array_equal(adv, x)
+
+
+@st.composite
+def split_cases(draw):
+    return {"cfg": AttackConfig(
+                epsilon=draw(st.floats(0.001, 0.1)),
+                alpha=draw(st.floats(0.0, 0.05)),
+                steps=draw(st.integers(1, 3)),
+                rand_init=draw(st.booleans()),
+                loss_kind=draw(st.sampled_from(("ce", "kl_to_clean")))),
+            "branch": draw(st.sampled_from((BranchMode.INFERENCE,
+                                            BranchMode.FROZEN_TRAIN))),
+            "dtype": draw(st.sampled_from(("float32", "float64"))),
+            "n": draw(st.integers(1, 8)),  # even batches split, odd do not
+            "seed": draw(st.integers(0, 2**16))}
+
+
+@PROFILE
+@given(split_cases())
+def test_pgd_on_two_cpus_is_bitwise_the_one_cpu_attack(case):
+    model = _attack_model(case["dtype"])
+    rng = np.random.default_rng(case["seed"])
+    x = rng.uniform(size=(case["n"], 3, 8, 8)).astype(case["dtype"])
+    y = rng.integers(0, 3, size=case["n"])
+    adv = {}
+    for cpus in (2, 1):
+        # every even batch splits, down to halves of one image
+        with mock.patch.object(attack, "_usable_cpus", return_value=cpus), \
+                mock.patch.object(attack, "_MIN_SPLIT_BATCH", 2):
+            adv[cpus] = pgd_attack(model, case["branch"], x, y, case["cfg"],
+                                   rng=np.random.default_rng(case["seed"]))
+    assert adv[2].dtype == x.dtype
+    assert np.array_equal(adv[2], adv[1])

@@ -5,7 +5,9 @@ import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from twins_lab import attack
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig
 from twins_lab.tensor import backprop
@@ -72,3 +74,25 @@ def test_attack_loop_peaks_at_one_step():
     one = _peak_bytes(attack(1))
     many = _peak_bytes(attack(5))
     assert many < BOUND * one, (many, one)
+
+
+@pytest.mark.parametrize("branch", [BranchMode.ADAPTIVE_TRAIN,
+                                    BranchMode.INFERENCE])
+def test_kl_attack_peaks_like_a_ce_attack(monkeypatch, branch):
+    """The kl_to_clean target keeps the clean logits' values, not the
+    clean pass's graph; holding that graph read 1.5x here."""
+    # one CPU, so an INFERENCE attack's halves never overlap and its
+    # peak does not depend on how two threads interleave
+    monkeypatch.setattr(attack, "_usable_cpus", lambda: 1)
+    model = _model()
+    x, y = _data(128)
+
+    def attack_with(loss_kind):
+        cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=2,
+                           loss_kind=loss_kind)
+        return lambda: pgd_attack(model, branch, x, y, cfg,
+                                  np.random.default_rng(0))
+
+    ce = _peak_bytes(attack_with("ce"))
+    kl = _peak_bytes(attack_with("kl_to_clean"))
+    assert kl < 1.1 * ce, (kl, ce)

@@ -1,10 +1,14 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from twins_lab.tensor import (ParamStore, ShapeError, Tensor, _conv2d_forward,
-                              _im2col, backprop, conv2d, conv2d_weight_grad,
-                              finite_diff_grad, global_avg_pool,
-                              kl_div_logits, linear, softmax_cross_entropy)
+                              _im2col, backprop, batch_norm, batch_norm_fixed,
+                              conv2d, conv2d_weight_grad, finite_diff_grad,
+                              global_avg_pool, kl_div_logits, linear,
+                              softmax_cross_entropy)
 
 NO_BIAS = Tensor(np.zeros(2))
 
@@ -374,3 +378,60 @@ def test_float32_mode_preserved_through_ops():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
     y = (x * 2.0 + 1.0).relu()
     assert y.dtype == np.float32
+
+
+def _kept_bytes(fn):
+    """Bytes that `fn()`'s result still holds once it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _param_node_cases(rng):
+    """(op, input, parameter arrays, whether the node then keeps only its
+    output) for each op that takes parameters; the input is channels-last,
+    like the activations the ops receive. Adaptive BN keeps x-hat, which
+    its input gradient reads."""
+    x4 = np.ascontiguousarray(rng.normal(size=(8, 5, 6, 4))).transpose(
+        0, 3, 1, 2)
+    c = x4.shape[1]
+    mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+    return [
+        (lambda x, k: conv2d(x, k, stride=2, pad=1), x4,
+         [rng.normal(size=(6, c, 3, 3))], True),
+        (lambda x, g, b: batch_norm_fixed(x, mean, var, g, b, 1e-5), x4,
+         [rng.uniform(0.5, 2.0, size=c), rng.normal(size=c)], True),
+        (lambda x, g, b: batch_norm(x, g, b, 1e-5)[0], x4,
+         [rng.uniform(0.5, 2.0, size=c), rng.normal(size=c)], False),
+        (linear, rng.normal(size=(8, 12)),
+         [rng.normal(size=(12, 3)), rng.normal(size=3)], True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_untracked_parameters_are_neither_written_nor_kept(case):
+    op, x, arrays, output_only = _param_node_cases(
+        np.random.default_rng(20))[case]
+    grads, kept = {}, {}
+    for tracked in (True, False):
+        params = [Tensor(a, requires_grad=tracked) for a in arrays]
+        stale = [np.full_like(a, 7.0) for a in arrays]
+        for p, s in zip(params, stale):
+            p.grad = s  # left over from an earlier pass
+        xt = Tensor(x, requires_grad=True)
+        out, kept[tracked] = _kept_bytes(lambda: op(xt, *params))
+        (out * out).sum().backward(inputs=(xt,))
+        grads[tracked] = xt.grad
+        if not tracked:
+            assert all(p.grad is s for p, s in zip(params, stale))
+    assert np.array_equal(grads[False], grads[True])
+    assert kept[False] <= kept[True], kept
+    if output_only:
+        # the output and its graph bookkeeping; the dropped buffer (x-hat
+        # or the im2col columns) alone is larger than 4 KiB here
+        assert kept[False] < out.data.nbytes + 4096, kept
