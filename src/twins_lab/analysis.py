@@ -123,8 +123,9 @@ def frozen_grad_formula_check(model, layer, batch):
     bn_out = capture[f"bn{idx}.out"]
     h_prev = capture[f"bn{idx}.in"]
     c = state.channels
-    # adjoint of the normalized activation: affine peels off gamma
-    g_norm = bn_out.grad * state.gamma_f.data.reshape(1, c, 1, 1)
+    # BN-output adjoint, where ReLU passed it; the affine peels off gamma
+    g_norm = (bn_out.grad * (bn_out.data > 0)
+              * state.gamma_f.data.reshape(1, c, 1, 1))
     sigma = np.sqrt(state.frozen_var + state.eps).reshape(1, c, 1, 1)
     kh, kw = model.params[layer].data.shape[2:]
     analytic = conv2d_weight_grad(h_prev.data, g_norm / sigma, kh, kw,

@@ -31,7 +31,6 @@ the halves, and not the whole batch, are the computation on every CPU
 count.
 """
 
-import contextlib
 import os
 import threading
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import BranchMode
-from .tensor import Tensor, kl_div_logits, softmax_cross_entropy
+from .tensor import Tensor, kl_div_logits, softmax_cross_entropy, untracked
 
 # the branches that normalize with fixed statistics
 _PER_IMAGE_BRANCHES = (BranchMode.INFERENCE, BranchMode.FROZEN_TRAIN)
@@ -94,20 +93,6 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _input_only(params):
-    """Mark every parameter as not requiring a gradient until exit, then
-    restore each one's own flag."""
-    flags = [(p, p.requires_grad) for _, p in params.items()]
-    for p, _ in flags:
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p, flag in flags:
-            p.requires_grad = flag
-
-
 def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
     """Iterated signed-gradient ascent projected into the eps-ball.
 
@@ -120,7 +105,7 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
     x = np.asarray(x, dtype=model.config.np_dtype())
     if cfg.epsilon == 0.0:
         return x.copy()
-    with _input_only(model.params):
+    with untracked(model.params):
         x_adv = x.copy()
         if cfg.rand_init:
             if rng is None:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import load_checkpoint
-from .data import load_dataset, load_records, save_idx
+from .data import load_dataset, load_records, save_idx, val_count
 from .experiment import (ConfigError, ExperimentConfig, joint_source,
                          read_metrics, run_experiment, run_finetune,
                          run_pretrain)
@@ -40,7 +40,7 @@ def _cmd_gen_data(args):
                      os.path.join(cfg.out_dir, f"{name}-labels.idx"))
         else:
             np.savez(os.path.join(cfg.out_dir, f"{name}.npz"), x=x, y=y)
-        n_val = int(round(len(y) * spec.val_fraction))
+        n_val = val_count(len(y), spec.val_fraction)
         print(f"{name}: {len(y)} samples "
               f"({len(y) - n_val} train / {n_val} val)")
     return 0

@@ -67,10 +67,15 @@ def gen_synthetic_dataset(spec):
     return x[order], y[order]
 
 
+def val_count(n, val_fraction):
+    """How many of n records the validation split holds."""
+    return int(round(n * val_fraction))
+
+
 def split_train_val(x, y, val_fraction, seed=0):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(y))
-    n_val = int(round(len(y) * val_fraction))
+    n_val = val_count(len(y), val_fraction)
     val_idx, train_idx = order[:n_val], order[n_val:]
     return (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx])
 
@@ -101,24 +106,48 @@ def load_dataset(spec):
     return split_train_val(x, y, spec.val_fraction, seed=spec.seed)
 
 
-def load_npz(path):
-    """Read an npz archive's `x` (N, C, H, W) images and `y` (N,) labels."""
+def val_split_size(spec):
+    """How many records `load_dataset(spec)` puts in its validation split,
+    counted from the spec, the IDX label header or the npz archive's `y`
+    without reading any image."""
+    if spec.source == "synthetic":
+        n = spec.classes * spec.per_class
+    elif spec.source == "npz":
+        n = len(_npz_arrays(spec.images_path, ("y",))["y"])
+    else:
+        with open(spec.labels_path, "rb") as fh:
+            n = _idx_label_count(fh)
+    return val_count(n, spec.val_fraction)
+
+
+def _npz_arrays(path, names):
+    """The arrays `names` of the npz archive at `path`, each read only
+    when named; `y` must hold (N,) integer labels."""
     with open(path, "rb") as fh:
         try:
             archive = np.load(fh)
-            arrays = ({k: archive[k] for k in ("x", "y") if k in archive}
+            arrays = ({k: archive[k] for k in names if k in archive}
                       if isinstance(archive, np.lib.npyio.NpzFile) else {})
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise NpzFormatError(f"{path} is not a readable npz archive: "
                                  f"{exc}") from exc
-    missing = {"x", "y"} - set(arrays)
+    missing = set(names) - set(arrays)
     if missing:
         raise NpzFormatError(f"{path} holds no array {sorted(missing)}")
+    y = arrays["y"]
+    if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
+        raise NpzFormatError(f"{path}: y must be (N,) integer labels, got "
+                             f"{y.shape} {y.dtype}")
+    return arrays
+
+
+def load_npz(path):
+    """Read an npz archive's `x` (N, C, H, W) images and `y` (N,) labels."""
+    arrays = _npz_arrays(path, ("x", "y"))
     x, y = arrays["x"], arrays["y"]
-    if x.ndim != 4 or y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
-        raise NpzFormatError(
-            f"{path}: x must be (N, C, H, W) and y (N,) integer labels, "
-            f"got {x.shape} and {y.shape} {y.dtype}")
+    if x.ndim != 4:
+        raise NpzFormatError(f"{path}: x must be (N, C, H, W) images, got "
+                             f"{x.shape}")
     if len(x) != len(y):
         raise NpzFormatError(f"{path}: {len(x)} images but {len(y)} labels")
     return x.astype(np.float32), y.astype(np.int64)
@@ -131,6 +160,14 @@ def _read_exact(fh, count, what):
     return data
 
 
+def _idx_label_count(fh):
+    """The record count in the header of the IDX label file `fh`."""
+    magic, n = struct.unpack(">ii", _read_exact(fh, 8, "header"))
+    if magic != IDX_LABELS_MAGIC:
+        raise IdxFormatError(f"bad IDX label magic: {magic}")
+    return n
+
+
 def load_idx(images_path, labels_path):
     """Parse big-endian IDX image/label files; pixels scaled to [0,1]."""
     with open(images_path, "rb") as fh:
@@ -141,9 +178,7 @@ def load_idx(images_path, labels_path):
         raw = _read_exact(fh, n * rows * cols, "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
     with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">ii", _read_exact(fh, 8, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"bad IDX label magic: {magic}")
+        n_labels = _idx_label_count(fh)
         raw = _read_exact(fh, n_labels, "label data")
     if n_labels != n:
         raise IdxCountMismatchError(

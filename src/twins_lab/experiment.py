@@ -9,7 +9,7 @@ import numpy as np
 from .analysis import evaluate
 from .attack import AttackConfig
 from .checkpoint import atomic_open, save_checkpoint
-from .data import DatasetSpec, load_dataset
+from .data import DatasetSpec, load_dataset, val_split_size
 from .network import MiniCNN, ModelConfig, make_finetune_model
 from .training import (TrainConfig, require_val_split, run_training,
                        warmup_bn)
@@ -176,15 +176,14 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
     only read, so one load can serve every seed.
     """
     train, val = target
-    require_val_split(val)
+    require_val_split(len(val[1]))
     ft = dataclasses.replace(cfg.finetune, seed=seed)
     model = make_finetune_model(pretrained, cfg.model.target_classes,
                                 seed=seed)
     if ft.warmup_epochs > 0:
         warmup_bn(model, train[0], ft.attack,
                   rng=np.random.default_rng(seed + 7919),
-                  warmup_epochs=ft.warmup_epochs, batch=ft.batch,
-                  momentum=cfg.model.bn_momentum)
+                  warmup_epochs=ft.warmup_epochs, batch=ft.batch)
     source_train = None
     if ft.method == "joint":
         if source is None:
@@ -205,7 +204,8 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
 def run_experiment(config_path, seed_override=None, out_override=None,
                    method_override=None):
     """Full pipeline: optional pre-training, then per-seed warmup,
-    fine-tuning and evaluation. Artifacts land in the output directory."""
+    fine-tuning and evaluation. Artifacts land in the output directory.
+    An empty target validation split fails before pre-training."""
     cfg = ExperimentConfig.from_file(config_path)
     if out_override:
         cfg.out_dir = out_override
@@ -214,6 +214,7 @@ def run_experiment(config_path, seed_override=None, out_override=None,
     if method_override is not None:
         cfg.finetune = dataclasses.replace(cfg.finetune,
                                            method=method_override)
+    require_val_split(val_split_size(cfg.target_data))
     os.makedirs(cfg.out_dir, exist_ok=True)
     source = joint_source(cfg)
     if cfg.pretrain is not None:

@@ -15,7 +15,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .tensor import (ParamStore, Tensor, batch_norm, batch_norm_fixed, conv2d,
-                     global_avg_pool, linear)
+                     global_avg_pool, linear, untracked)
 
 # stride and zero padding of every MiniCNN convolution
 CONV_GEOMETRY = {"stride": 2, "pad": 1}
@@ -101,7 +101,7 @@ class BNLayerState:
 
 
 def bn_forward(x, state, mode):
-    """Normalize `x` per channel according to the branch mode.
+    """Normalize `x` per channel by the branch mode, then apply ReLU.
 
     Returns (y, batch_stats); batch_stats is a (mean, var) pair of plain
     arrays in ADAPTIVE_TRAIN mode and None otherwise. Each branch records
@@ -188,7 +188,7 @@ class MiniCNN:
         `update_running` commits the batch statistics to the running
         estimates in ADAPTIVE_TRAIN and is ignored in the other modes.
         `capture`, if a dict, receives intermediate graph nodes keyed by
-        layer (pre-BN and normalized activations).
+        layer (conv input, pre-BN activation and BN-and-ReLU output).
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.config.np_dtype()))
@@ -199,12 +199,11 @@ class MiniCNN:
             if capture is not None:
                 capture[f"bn{i}.in"] = h
                 capture[f"bn{i}.pre"] = pre
-            y, stats = bn_forward(pre, state, mode)
+            h, stats = bn_forward(pre, state, mode)
             if capture is not None:
-                capture[f"bn{i}.out"] = y
+                capture[f"bn{i}.out"] = h
             if mode is BranchMode.ADAPTIVE_TRAIN and update_running:
                 bn_update_running(state, stats)
-            h = y.relu()
         features = global_avg_pool(h)
         logits = linear(features, self.params[wname], self.params[bname])
         return features, logits
@@ -257,8 +256,9 @@ class MiniCNN:
 
 def predict(model, x, mode, head="target"):
     """Each row's argmax class under one branch, without updating running
-    statistics. The forward graph is freed on return."""
-    _, logits = model.forward(x, mode, head=head)
+    statistics. The forward runs untracked, so it records no graph."""
+    with untracked(model.params):
+        _, logits = model.forward(x, mode, head=head)
     return logits.data.argmax(axis=1)
 
 

@@ -8,7 +8,7 @@ interface, but conv and batch-norm outputs are channels-last in memory
 and a ``.grad`` may have any memory order.
 
 The op set is the one the network runs, each a single graph node with a
-closed-form backward: ``conv2d``, the two batch-norm nodes, ``relu``,
+closed-form backward: ``conv2d``, the two batch-norm-and-ReLU nodes,
 ``global_avg_pool``, ``linear`` (the classifier head), the fused
 cross-entropy and KL losses, and ``feature_distance`` (lwf's penalty).
 ``+`` and ``*`` take an operand of the same shape or a scalar, and
@@ -46,11 +46,13 @@ its ``.grad`` may be left over from an earlier pass. A forward whose
 parameters do not require gradients also keeps nothing that only their
 gradients read: ``conv2d`` drops its im2col columns, ``batch_norm_fixed``
 scales x-hat into its output in place instead of keeping it, and
-``linear`` drops its flattened input. ``pgd_attack`` runs that way, so
-its graphs hold only what the input gradient needs and contain no
-parameter node; two such graphs share no node and may be built and
-differentiated in two threads at once.
+``linear`` drops its flattened input. Forwards that train nothing run in
+``untracked(params)``: ``pgd_attack``'s graphs hold only what the input
+gradient needs, so two share no node and may be built and differentiated
+in two threads at once; every other such forward records no node.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -214,16 +216,6 @@ class Tensor:
                 _accumulate(a, np.broadcast_to(dout, a.data.shape))
 
         return Tensor._make(a.data.sum(), (a,), bk)
-
-    def relu(self):
-        a = self
-        mask = a.data > 0
-
-        def bk(dout):
-            if a.grad is not None:
-                _accumulate(a, dout * mask)
-
-        return Tensor._make(np.maximum(a.data, 0), (a,), bk)
 
 
 # -- dense layers --------------------------------------------------------
@@ -433,7 +425,8 @@ def conv2d(x, k, stride=1, pad=0):
 # backward's coefficients) is tiled once to W*C entries, which leaves
 # each element's arithmetic as a broadcast would do it. For a conv
 # output the rows are a free view; any other layout is copied into
-# them. The output is channels-last.
+# them. Each op ends with ReLU, in place, and its backward starts from
+# the adjoint times (output > 0). The output is channels-last.
 
 
 def _channel_sum(a):
@@ -470,10 +463,10 @@ def _tile(a, w):
 
 
 def batch_norm(x, gamma, beta, eps):
-    """Normalize with the batch's own statistics; returns (y, mean, var).
+    """Normalize with batch statistics, then ReLU; returns (y, mean, var).
 
     `mean` and `var` are the biased per-channel batch statistics as plain
-    (C,) arrays. The backward pass is
+    (C,) arrays. With dy = dout * (y > 0), the backward pass is
     dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
     """
     xt = _nhwc(x.data)
@@ -487,10 +480,11 @@ def batch_norm(x, gamma, beta, eps):
     g = gamma.data
     val = xhat * _tile(g, w)
     val += _tile(beta.data, w)
+    y = _nchw(np.maximum(val, 0, out=val).reshape(shape))
     grad_x, grad_g, grad_b = x._tracked(), gamma._tracked(), beta._tracked()
 
-    def bk(dy):
-        dy = _nhwc(dy)
+    def bk(dout):
+        dy = _nhwc(dout * (y > 0))
         dy_sum = _channel_sum(dy)
         if grad_b and beta.grad is not None:
             _accumulate(beta, dy_sum)
@@ -505,15 +499,14 @@ def batch_norm(x, gamma, beta, eps):
             dx *= _tile(g / std, w)
             _accumulate(x, _nchw(dx.reshape(shape)))
 
-    out = Tensor._make(_nchw(val.reshape(shape)), (x, gamma, beta), bk)
-    return out, mean, var
+    return Tensor._make(y, (x, gamma, beta), bk), mean, var
 
 
 def batch_norm_fixed(x, mean, var, gamma, beta, eps):
     """Normalize with fixed statistics `mean`/`var` (plain (C,) arrays).
 
-    One affine node: y = (x - mean) / sigma * gamma + beta, so
-    dx = dy * gamma / sigma.
+    One node: y = relu((x - mean) / sigma * gamma + beta), so
+    dx = dout * (y > 0) * gamma / sigma.
     """
     xt = _nhwc(x.data)
     shape, w = xt.shape, xt.shape[2]
@@ -525,11 +518,12 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
     # only the gamma gradient reads xhat; without it, scale in place
     val = np.multiply(xhat, _tile(g, w), out=None if grad_g else xhat)
     val += _tile(beta.data, w)
+    y = _nchw(np.maximum(val, 0, out=val).reshape(shape))
     if not grad_g:
         xhat = None
 
-    def bk(dy):
-        dy = _nhwc(dy)
+    def bk(dout):
+        dy = _nhwc(dout * (y > 0))
         if grad_b and beta.grad is not None:
             _accumulate(beta, _channel_sum(dy))
         dy = _rows(dy)
@@ -538,7 +532,7 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
         if grad_x and x.grad is not None:
             _accumulate(x, _nchw((dy * _tile(g / std, w)).reshape(shape)))
 
-    return Tensor._make(_nchw(val.reshape(shape)), (x, gamma, beta), bk)
+    return Tensor._make(y, (x, gamma, beta), bk)
 
 
 # -- losses --------------------------------------------------------------
@@ -625,6 +619,19 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
+
+
+@contextlib.contextmanager
+def untracked(params):
+    """Untrack every parameter until exit, then restore each one's flag."""
+    flags = [(p, p.requires_grad) for _, p in params.items()]
+    for p, _ in flags:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in flags:
+            p.requires_grad = flag
 
 
 def backprop(loss, params, names=None):

@@ -12,7 +12,7 @@ import numpy as np
 from .attack import AttackConfig, pgd_attack
 from .network import BranchMode, copy_model, predict
 from .tensor import (backprop, feature_distance, kl_div_logits,
-                     softmax_cross_entropy)
+                     softmax_cross_entropy, untracked)
 
 METHODS = ("std", "at", "trades", "twins-at", "twins-trades", "lwf", "joint")
 
@@ -107,13 +107,14 @@ def _wing(model, x, adv, y, mode, cfg, update_running):
 
 
 def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
-              batch=64, momentum=0.1):
+              batch=64):
     """EMA-update the frozen statistics with adversarial target data.
 
     Adversarial examples are generated with the source head, driven by
     CE against the head's own argmax pseudo-labels; they are then pushed
-    through the Frozen branch and each BN layer's input batch statistics
-    are folded into the frozen statistics with the given momentum.
+    through the Frozen branch, untracked, and each BN layer's input batch
+    statistics are folded into the frozen statistics with the layer's
+    `state.momentum`, the momentum its running statistics train with.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -127,17 +128,17 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
             adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xb, pseudo,
                              attack_cfg, rng, head="source")
             capture = {}
-            model.forward(adv, BranchMode.FROZEN_TRAIN, head="source",
-                          capture=capture)
+            with untracked(model.params):
+                model.forward(adv, BranchMode.FROZEN_TRAIN, head="source",
+                              capture=capture)
             for i, state in enumerate(model.bn, start=1):
                 pre = capture[f"bn{i}.pre"].data
                 mean = pre.mean(axis=(0, 2, 3))
                 var = pre.var(axis=(0, 2, 3))
-                state.frozen_mean = ((1.0 - momentum) * state.frozen_mean
-                                     + momentum * mean)
-                state.frozen_var = ((1.0 - momentum) * state.frozen_var
-                                    + momentum * var)
-            # frees the frozen pass's graph before the next batch's attack
+                m = state.momentum
+                state.frozen_mean = (1.0 - m) * state.frozen_mean + m * mean
+                state.frozen_var = (1.0 - m) * state.frozen_var + m * var
+            # frees the frozen pass's activations before the next attack
             del capture
 
 
@@ -182,7 +183,8 @@ def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
         pretrained = aux["pretrained"]
         if pretrained.feature_width != model.feature_width:
             raise ValueError("feature width mismatch with the pre-trained copy")
-        ref, _ = pretrained.forward(adv, BranchMode.INFERENCE)
+        with untracked(pretrained.params):
+            ref, _ = pretrained.forward(adv, BranchMode.INFERENCE)
         loss = loss + cfg.lambda_lwf * feature_distance(feats, ref.data)
     if method == "joint" and cfg.lambda_uot != 0.0:
         adv_src = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xs, ys,
@@ -201,9 +203,10 @@ def flat_grad_norm(grads, names):
     return float(np.sqrt(total))
 
 
-def require_val_split(val_data):
-    """Raise ValueError if the (x, y) validation split holds no image."""
-    if len(val_data[1]) == 0:
+def require_val_split(n_val):
+    """Raise ValueError if the validation split holds no image (`n_val`
+    is its size)."""
+    if n_val == 0:
         raise ValueError("the validation split is empty: raise the "
                          "dataset's val_fraction so that it holds at least "
                          "one image")
@@ -220,7 +223,7 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
 
     if cfg.method not in METHODS:
         raise ValueError(f"unknown training method: {cfg.method!r}")
-    require_val_split(val_data)
+    require_val_split(len(val_data[1]))
     x_train, y_train = train_data
     rng = np.random.default_rng(cfg.seed)
     names = model.trainable_names(cfg.method)
@@ -230,8 +233,6 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
     aux = {}
     if cfg.method == "lwf":
         aux["pretrained"] = copy_model(model)
-        for _, p in aux["pretrained"].params.items():
-            p.requires_grad = False
     if cfg.method == "joint":
         if source_data is None:
             raise ValueError("joint training needs source data")

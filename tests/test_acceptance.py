@@ -221,7 +221,7 @@ def test_criterion_6_warmup_ema():
                          + 0.1 * pre.mean(axis=(0, 2, 3)),
                          0.9 * state.frozen_var
                          + 0.1 * pre.var(axis=(0, 2, 3))))
-    warmup_bn(model, x, attack, warmup_epochs=1, batch=8, momentum=0.1)
+    warmup_bn(model, x, attack, warmup_epochs=1, batch=8)
     worst = 0.0
     for state, (em, ev) in zip(model.bn, expected):
         worst = max(worst, float(np.abs(state.frozen_mean - em).max()),

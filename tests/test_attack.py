@@ -326,7 +326,7 @@ def test_attack_half_failure_is_raised_by_the_caller(monkeypatch):
 
 def test_attack_restores_each_parameter_flag_and_stale_gradient():
     model = _mini_model()
-    model.params["conv2"].requires_grad = False  # as lwf's frozen copy
+    model.params["conv2"].requires_grad = False  # a flag to restore as is
     flags = {name: p.requires_grad for name, p in model.params.items()}
     stale = {name: np.full_like(p.data, 7.0)
              for name, p in model.params.items()}

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from twins_lab.data import (DatasetSpec, IdxCountMismatchError,
-                            IdxFormatError, gen_synthetic_dataset, load_idx,
-                            save_idx, split_train_val)
+                            IdxFormatError, gen_synthetic_dataset,
+                            load_dataset, load_idx, save_idx,
+                            split_train_val, val_split_size)
 
 
 def test_spec_validation():
@@ -157,3 +158,35 @@ def test_idx_count_mismatch(tmp_path):
     ip, lp = _write_pair(tmp_path, n_images=3, n_labels=4)
     with pytest.raises(IdxCountMismatchError):
         load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.001, 0.25, 0.5])
+@pytest.mark.parametrize("source", ["synthetic", "idx-files", "npz"])
+def test_val_split_size_counts_what_load_dataset_splits(tmp_path, source,
+                                                        fraction):
+    spec = DatasetSpec(classes=3, image_shape=(1, 4, 4), per_class=7, seed=4,
+                       val_fraction=fraction)
+    x, y = gen_synthetic_dataset(spec)
+    if source == "idx-files":
+        spec.images_path = str(tmp_path / "images.idx")
+        spec.labels_path = str(tmp_path / "labels.idx")
+        save_idx(x, y, spec.images_path, spec.labels_path)
+    elif source == "npz":
+        spec.images_path = str(tmp_path / "data.npz")
+        np.savez(spec.images_path, x=x, y=y)
+    spec.source = source
+    assert val_split_size(spec) == len(load_dataset(spec)[1][1])
+
+
+def test_val_split_size_reads_no_idx_image(tmp_path):
+    """The count comes from the label header alone."""
+    images, labels = str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")
+    save_idx(np.zeros((8, 1, 2, 2)), np.zeros(8, np.int64), images, labels)
+    with open(images, "wb") as fh:
+        fh.write(b"not an IDX file")
+    spec = DatasetSpec(source="idx-files", classes=2, image_shape=(1, 2, 2),
+                       images_path=images, labels_path=labels,
+                       val_fraction=0.25)
+    assert val_split_size(spec) == 2
+    with pytest.raises(IdxFormatError):
+        load_dataset(spec)

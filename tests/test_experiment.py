@@ -453,10 +453,6 @@ def test_cli_stops_on_an_empty_validation_split(tmp_path, capsys,
     cfg["pretrain"] = dict(cfg["finetune"])
     cfg["finetune"]["warmup_epochs"] = 1
     cfg[split]["val_fraction"] = val_fraction
-    if command == "run" and split == "target_data":
-        # `run` loads the target data after pre-training, which would
-        # write its own artifacts first
-        del cfg["pretrain"]
     argv = [command, _write_config(tmp_path, cfg)]
     if command == "finetune":
         argv += ["--checkpoint", str(tmp_path / "model.ckpt")]

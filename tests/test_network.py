@@ -5,7 +5,7 @@ from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward, bn_update_running, copy_model,
                                make_finetune_model)
 from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
-                              softmax_cross_entropy)
+                              softmax_cross_entropy, untracked)
 from twins_lab.training import TrainConfig, run_training
 from twins_lab.attack import AttackConfig
 
@@ -47,8 +47,12 @@ def test_adaptive_bn_standardizes_pair():
     state = _bn_state(eps=0.0)
     x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1, 1))
     y, (mean, var) = bn_forward(x, state, BranchMode.ADAPTIVE_TRAIN)
-    assert np.array_equal(y.data.reshape(-1), [-1.0, 1.0])
+    # standardized to -1 and 1; the layer's ReLU clamps the -1
+    assert np.array_equal(y.data.reshape(-1), [0.0, 1.0])
     assert mean[0] == 2.0 and var[0] == 1.0
+    state.beta_a.data = np.array([2.0])
+    y, _ = bn_forward(x, state, BranchMode.ADAPTIVE_TRAIN)
+    assert np.array_equal(y.data.reshape(-1), [1.0, 3.0])
 
 
 def test_adaptive_bn_rejects_singleton_batch():
@@ -286,6 +290,31 @@ def test_update_running_defaults_by_mode():
     assert np.array_equal(model.bn[0].running_mean, before)
     model.forward(x, BranchMode.ADAPTIVE_TRAIN, update_running=True)
     assert not np.array_equal(model.bn[0].running_mean, before)
+
+
+def _recorded_nodes(root):
+    """The graph nodes below `root` that an op recorded (leaves excluded)."""
+    count, stack, seen = 0, [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._prev:
+            seen.add(id(node))
+            count += 1
+            stack.extend(node._prev)
+    return count
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_branch_forward_records_six_nodes(mode):
+    """conv and BN-with-ReLU per layer, then pooling and the head; an
+    untracked forward of an untracked input records none."""
+    model = _model()
+    x = np.random.default_rng(4).uniform(size=(4, 3, 8, 8))
+    _, logits = model.forward(x, mode)
+    assert len(model.bn) == 2 and _recorded_nodes(logits) == 6
+    with untracked(model.params):
+        _, logits = model.forward(x, mode)
+    assert _recorded_nodes(logits) == 0
 
 
 @pytest.mark.parametrize("mode", list(BranchMode))

@@ -1,7 +1,7 @@
 """Property tests for the autodiff nodes and for PGD.
 
-For the nodes (conv, batch norm, the linear head, pooling and the
-feature distance), Hypothesis draws the shapes, the geometry and the
+For the nodes (conv, batch norm with its ReLU, the linear head, pooling
+and the feature distance), Hypothesis draws the shapes, the geometry and the
 input's memory layout (NCHW-contiguous, a channels-last view, or one
 channel); every result is checked against a direct float64 reference or
 `finite_diff_grad`. Batch norm's W*C-wide rows are also checked bitwise
@@ -164,8 +164,10 @@ def test_bn_matches_reference_and_finite_diff(case):
     else:
         mean, var = state.running_mean, state.running_var
     shape = (1, c, 1, 1)
-    ref = ((x.data - mean.reshape(shape)) / np.sqrt(var + 1e-3).reshape(shape)
-           * gamma.data.reshape(shape) + beta.data.reshape(shape))
+    ref = np.maximum((x.data - mean.reshape(shape))
+                     / np.sqrt(var + 1e-3).reshape(shape)
+                     * gamma.data.reshape(shape) + beta.data.reshape(shape),
+                     0.0)
     assert y.shape == x.shape
     assert np.allclose(y.data, ref, rtol=1e-12, atol=1e-12)
 
@@ -176,16 +178,21 @@ def test_bn_matches_reference_and_finite_diff(case):
 
     names = ["x", f"bn.gamma_{branch}", f"bn.beta_{branch}"]
     grads = backprop(loss(), ps, names)
+    # the ReLU's mask: beta's gradient sums the weights where y > 0
+    assert np.allclose(grads[names[2]],
+                       (weights * (ref > 0)).sum(axis=(0, 2, 3)),
+                       rtol=1e-12, atol=1e-12)
     fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
     for name in names:
         assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
 
 
 def _broadcast_bn(x, gamma, beta, eps, dy, stats=None):
-    """(y, mean, var, dx, dgamma, dbeta) of batch norm by the per-channel
-    broadcast formulas over the (N, H, W, C) view, with `_channel_sum`'s
-    sums; batch statistics unless fixed `stats` are given."""
-    xt, dyt = x.transpose(0, 2, 3, 1), dy.transpose(0, 2, 3, 1)
+    """(y, mean, var, dx, dgamma, dbeta) of batch norm and ReLU by the
+    per-channel broadcast formulas over the (N, H, W, C) view, with
+    `_channel_sum`'s sums; batch statistics unless fixed `stats` are
+    given. `dy` is the adjoint of the ReLU output."""
+    xt = x.transpose(0, 2, 3, 1)
     inv_m = 1.0 / (xt.size // xt.shape[3])
     if stats is None:
         mean = _channel_sum(xt) * inv_m
@@ -196,7 +203,8 @@ def _broadcast_bn(x, gamma, beta, eps, dy, stats=None):
         xhat = xt - mean
     std = np.sqrt(var + eps)
     xhat /= std
-    y = xhat * gamma + beta
+    y = np.maximum(xhat * gamma + beta, 0)
+    dyt = (dy * (y.transpose(0, 3, 1, 2) > 0)).transpose(0, 2, 3, 1)
     dbeta = _channel_sum(dyt)
     dgamma = _channel_sum(dyt * xhat)
     if stats is None:

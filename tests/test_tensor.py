@@ -8,7 +8,7 @@ from twins_lab.tensor import (ParamStore, ShapeError, Tensor, _conv2d_forward,
                               _im2col, backprop, batch_norm, batch_norm_fixed,
                               conv2d, conv2d_weight_grad, finite_diff_grad,
                               global_avg_pool, kl_div_logits, linear,
-                              softmax_cross_entropy)
+                              softmax_cross_entropy, untracked)
 
 NO_BIAS = Tensor(np.zeros(2))
 
@@ -122,22 +122,44 @@ def test_conv2d_weight_grad_reuses_forward_columns_bitwise(stride, pad, ksize):
         reused, np.tensordot(g, strided, axes=([0, 2, 3], [0, 4, 5])))
 
 
+def _identity_bn(x):
+    """Fixed-statistics BN whose affine is exactly the identity, so its
+    output is the ReLU of `x`."""
+    c, dt = x.shape[1], x.dtype
+    return batch_norm_fixed(x, np.zeros(c, dt), np.ones(c, dt),
+                            Tensor(np.ones(c, dt)), Tensor(np.zeros(c, dt)),
+                            0.0)
+
+
 def test_relu_forward_matches_masked_select():
     rng = np.random.default_rng(11)
     for dtype in (np.float32, np.float64):
         a = rng.normal(size=(8, 4, 3, 3)).astype(dtype)
         a[0, 0, 0] = 0.0
-        y = Tensor(a).relu().data
+        y = _identity_bn(Tensor(a)).data
         assert y.dtype == dtype
         assert np.array_equal(y, np.where(a > 0, a, 0.0))
 
 
 def test_relu_values_and_adjoint():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-    y = x.relu()
-    assert np.array_equal(y.data, [0.0, 0.0, 2.0])
+    # each BN node's output is exactly 0 at its middle entry, where the
+    # adjoint is cut as at a negative one
+    x = Tensor(np.array([-1.0, 0.0, 2.0]).reshape(3, 1, 1, 1),
+               requires_grad=True)
+    y = _identity_bn(x)
+    assert np.array_equal(y.data.reshape(-1), [0.0, 0.0, 2.0])
     y.sum().backward()
-    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+    assert np.array_equal(x.grad.reshape(-1), [0.0, 0.0, 1.0])
+    gamma, beta = (Tensor(np.ones(1), requires_grad=True),
+                   Tensor(np.zeros(1), requires_grad=True))
+    x = Tensor(np.array([-1.0, 0.0, 1.0]).reshape(3, 1, 1, 1))
+    y, _, _ = batch_norm(x, gamma, beta, 0.0)
+    flat = y.data.reshape(-1)
+    assert flat[0] == 0.0 and flat[1] == 0.0 and flat[2] > 0.0
+    y.sum().backward()
+    # d/dbeta counts the positive outputs; d/dgamma sums their x-hat
+    assert np.array_equal(beta.grad, [1.0])
+    assert np.array_equal(gamma.grad, [flat[2]])
 
 
 def test_global_avg_pool_constant():
@@ -222,9 +244,14 @@ def test_backprop_linear_case():
 
 def test_backprop_dead_relu():
     ps = ParamStore()
-    w = ps.add("w", np.array([-1.0]))
-    grads = backprop(w.relu().sum(), ps)
-    assert np.array_equal(grads["w"], [0.0])
+    gamma = ps.add("gamma", np.array([1.0]))
+    beta = ps.add("beta", np.array([-1.0]))
+    x = Tensor(np.zeros((2, 1, 2, 2)), requires_grad=True)
+    y = batch_norm_fixed(x, np.zeros(1), np.ones(1), gamma, beta, 0.0)
+    assert np.array_equal(y.data, np.zeros((2, 1, 2, 2)))
+    grads = backprop(y.sum(), ps)
+    assert np.array_equal(grads["gamma"], [0.0])
+    assert np.array_equal(grads["beta"], [0.0])
 
 
 def test_backprop_rejects_nonscalar():
@@ -257,8 +284,8 @@ def test_finite_diff_rejects_bad_step():
 
 
 def _two_layer_loss(ps, x, y):
-    h = linear(Tensor(x), ps["w1"], ps["b1"]).relu()
-    return softmax_cross_entropy(linear(h, ps["w2"], ps["b2"]), y)
+    h = linear(Tensor(x), ps["w1"], ps["b1"])
+    return softmax_cross_entropy(linear(h * h, ps["w2"], ps["b2"]), y)
 
 
 def _two_layer_params(rng):
@@ -293,7 +320,8 @@ def test_elementwise_ops_match_finite_diff(seed):
 
     def loss():
         a, b = ps["a"], ps["b"]
-        out = (a * b + 0.5 * b).relu() * a + (a * a) * 1e-3 + 2.0
+        u = a * b + 0.5 * b
+        out = (u * u) * a + (a * a) * 1e-3 + 2.0
         return (out * weights).sum()
 
     grads = backprop(loss(), ps)
@@ -320,7 +348,8 @@ def test_backward_toward_input_prunes_parameter_buffers():
     ps = _two_layer_params(rng)
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     y = rng.integers(0, 3, size=4)
-    hidden = linear(x, ps["w1"], ps["b1"]).relu()
+    pre = linear(x, ps["w1"], ps["b1"])
+    hidden = pre * pre
     loss = softmax_cross_entropy(linear(hidden, ps["w2"], ps["b2"]), y)
     loss.backward()
     full = x.grad.copy()
@@ -376,8 +405,8 @@ def test_paramstore_rejects_duplicates():
 
 def test_float32_mode_preserved_through_ops():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
-    y = (x * 2.0 + 1.0).relu()
-    assert y.dtype == np.float32
+    y = x * 2.0 + 1.0
+    assert (y * y).dtype == np.float32
 
 
 def _kept_bytes(fn):
@@ -435,3 +464,16 @@ def test_untracked_parameters_are_neither_written_nor_kept(case):
         # the output and its graph bookkeeping; the dropped buffer (x-hat
         # or the im2col columns) alone is larger than 4 KiB here
         assert kept[False] < out.data.nbytes + 4096, kept
+
+
+def test_untracked_restores_every_flag_when_its_body_raises():
+    ps = ParamStore()
+    ps.add("a", np.ones(2))
+    ps.add("b", np.ones(2))
+    ps["b"].requires_grad = False
+    with pytest.raises(RuntimeError, match="body"):
+        with untracked(ps):
+            assert not any(p.requires_grad for _, p in ps.items())
+            raise RuntimeError("body")
+    assert {name: p.requires_grad for name, p in ps.items()} == {
+        "a": True, "b": False}

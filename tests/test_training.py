@@ -16,9 +16,10 @@ ATTACK = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=3,
                       rand_init=False)
 
 
-def _finetune_model(seed=0):
+def _finetune_model(seed=0, bn_momentum=0.1):
     cfg = ModelConfig(input_shape=(3, 8, 8), widths=(4, 6),
-                      target_classes=4, dtype="float64")
+                      target_classes=4, dtype="float64",
+                      bn_momentum=bn_momentum)
     pre = MiniCNN(cfg, rng=np.random.default_rng(seed))
     for state in pre.bn:
         rng = np.random.default_rng(seed + 13)
@@ -263,9 +264,9 @@ def test_warmup_zero_epochs_leaves_stats_untouched():
         assert np.array_equal(v, after[k])
 
 
-def test_warmup_single_batch_ema_matches_hand_computation():
-    model = _finetune_model(seed=10)
-    x, _ = _batch(seed=10, n=8)
+def _hand_warmup(model, x, m):
+    """Each BN layer's frozen (mean, var) after one warmup batch `x`,
+    folded with momentum `m`."""
     expected = []
     _, logits = model.forward(x, BranchMode.INFERENCE, head="source",
                               update_running=False)
@@ -277,14 +278,36 @@ def test_warmup_single_batch_ema_matches_hand_computation():
                   update_running=False, capture=capture)
     for i, state in enumerate(model.bn, start=1):
         pre = capture[f"bn{i}.pre"].data
-        expected.append((0.9 * state.frozen_mean
-                         + 0.1 * pre.mean(axis=(0, 2, 3)),
-                         0.9 * state.frozen_var
-                         + 0.1 * pre.var(axis=(0, 2, 3))))
-    warmup_bn(model, x, ATTACK, warmup_epochs=1, batch=8, momentum=0.1)
+        expected.append(((1 - m) * state.frozen_mean
+                         + m * pre.mean(axis=(0, 2, 3)),
+                         (1 - m) * state.frozen_var
+                         + m * pre.var(axis=(0, 2, 3))))
+    return expected
+
+
+def test_warmup_single_batch_ema_matches_hand_computation():
+    model = _finetune_model(seed=10)
+    x, _ = _batch(seed=10, n=8)
+    expected = _hand_warmup(model, x, 0.1)
+    warmup_bn(model, x, ATTACK, warmup_epochs=1, batch=8)
     for state, (em, ev) in zip(model.bn, expected):
         assert np.abs(state.frozen_mean - em).max() <= 1e-12
         assert np.abs(state.frozen_var - ev).max() <= 1e-12
+
+
+def test_warmup_folds_with_the_model_bn_momentum():
+    """Warmup folds with the momentum the running statistics train with,
+    the one a checkpoint carries, not a separate setting."""
+    model = _finetune_model(seed=12, bn_momentum=0.3)
+    assert all(state.momentum == 0.3 for state in model.bn)
+    x, _ = _batch(seed=12, n=8)
+    expected = _hand_warmup(model, x, 0.3)
+    default = _hand_warmup(model, x, 0.1)
+    warmup_bn(model, x, ATTACK, warmup_epochs=1, batch=8)
+    for state, (em, ev), (dm, _) in zip(model.bn, expected, default):
+        assert np.abs(state.frozen_mean - em).max() <= 1e-12
+        assert np.abs(state.frozen_var - ev).max() <= 1e-12
+        assert np.abs(state.frozen_mean - dm).max() > 1e-6
 
 
 def test_warmup_only_touches_frozen_stats():
