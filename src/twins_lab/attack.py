@@ -98,9 +98,9 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
 
     `y` is ignored for the kl_to_clean loss, which pushes the attacked
     branch's predictive distribution away from its clean-input one.
-    Each step differentiates toward the input only, so no parameter
-    gradient is computed. Returns a detached array; BN running
-    statistics are never updated.
+    The parameters are untracked throughout, so a step's graph has the
+    input as its only leaf and no parameter gradient is computed.
+    Returns a detached array; BN running statistics are never updated.
     """
     x = np.asarray(x, dtype=model.config.np_dtype())
     if cfg.epsilon == 0.0:
@@ -174,5 +174,5 @@ def _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head):
         loss = softmax_cross_entropy(logits, y)
     else:
         loss = kl_div_logits(logits, clean_logits)
-    loss.backward(inputs=(xt,))
+    loss.backward()
     return np.sign(xt.grad)

@@ -1,6 +1,8 @@
 """Dataset provisioning: seeded synthetic template tasks, IDX files and
 npz archives."""
 
+import math
+import os
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -12,7 +14,8 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX header, truncated payload or out-of-range label."""
+    """Malformed IDX header, a file size other than its header declares,
+    or an out-of-range label."""
 
 
 class IdxCountMismatchError(ValueError):
@@ -21,7 +24,7 @@ class IdxCountMismatchError(ValueError):
 
 class NpzFormatError(ValueError):
     """Unreadable npz archive, missing `x`/`y` array, mismatched record
-    counts or out-of-range label."""
+    counts, a pixel outside [0, 1] or an out-of-range label."""
 
 
 @dataclass
@@ -150,7 +153,12 @@ def load_npz(path):
                              f"{x.shape}")
     if len(x) != len(y):
         raise NpzFormatError(f"{path}: {len(x)} images but {len(y)} labels")
-    return x.astype(np.float32), y.astype(np.int64)
+    x = x.astype(np.float32)
+    # NaN fails both comparisons
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise NpzFormatError(f"{path}: pixels must be finite and lie in "
+                             f"[0, 1], got values in [{x.min()}, {x.max()}]")
+    return x, y.astype(np.int64)
 
 
 def _read_exact(fh, count, what):
@@ -160,21 +168,33 @@ def _read_exact(fh, count, what):
     return data
 
 
+def _idx_sizes(fh, fmt, magic, what):
+    """The sizes in the header of the IDX file `fh`, which must hold one
+    byte per entry after its header, and nothing more."""
+    head = struct.calcsize(fmt)
+    fields = struct.unpack(fmt, _read_exact(fh, head, "header"))
+    if fields[0] != magic:
+        raise IdxFormatError(f"bad IDX {what} magic: {fields[0]}")
+    sizes = fields[1:]
+    if min(sizes) < 0:
+        raise IdxFormatError(f"negative size in IDX {what} header: {sizes}")
+    need = head + math.prod(sizes)
+    have = os.fstat(fh.fileno()).st_size
+    if have != need:
+        raise IdxFormatError(f"IDX {what} file holds {have} bytes, but its "
+                             f"header {sizes} declares {need}")
+    return sizes
+
+
 def _idx_label_count(fh):
     """The record count in the header of the IDX label file `fh`."""
-    magic, n = struct.unpack(">ii", _read_exact(fh, 8, "header"))
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(f"bad IDX label magic: {magic}")
-    return n
+    return _idx_sizes(fh, ">ii", IDX_LABELS_MAGIC, "label")[0]
 
 
 def load_idx(images_path, labels_path):
     """Parse big-endian IDX image/label files; pixels scaled to [0,1]."""
     with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">iiii",
-                                             _read_exact(fh, 16, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"bad IDX image magic: {magic}")
+        n, rows, cols = _idx_sizes(fh, ">iiii", IDX_IMAGES_MAGIC, "image")
         raw = _read_exact(fh, n * rows * cols, "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
     with open(labels_path, "rb") as fh:

@@ -10,7 +10,8 @@ from .analysis import evaluate
 from .attack import AttackConfig
 from .checkpoint import atomic_open, save_checkpoint
 from .data import DatasetSpec, load_dataset, val_split_size
-from .network import MiniCNN, ModelConfig, make_finetune_model
+from .network import (MiniCNN, ModelConfig, _is_int, _is_real,
+                      make_finetune_model)
 from .training import (TrainConfig, require_val_split, run_training,
                        warmup_bn)
 
@@ -22,18 +23,43 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _int_list(value):
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+# (kind of a field's default, test of a config value, what the test asks)
+_KINDS = ((bool, lambda v: isinstance(v, bool), "true or false"),
+          (int, _is_int, "an integer"),
+          (float, _is_real, "a number"),
+          (str, lambda v: isinstance(v, str), "a string"),
+          (tuple, _int_list, "a list of integers"))
+
+
+def _check_type(field, value, context):
+    """Raise ConfigError unless `value` has the type of `field`'s default."""
+    for kind, test, wanted in _KINDS:
+        if isinstance(field.default, kind):
+            if not test(value):
+                raise ConfigError(f"{context}: {field.name} must be "
+                                  f"{wanted}, got {value!r}")
+            return
+
+
 def _build(cls, raw, context, converters=None):
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(converters or {}) - allowed
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(converters or {}) - set(fields)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in raw.items():
         if converters and key in converters:
             kwargs[key] = converters[key](value)
-        elif isinstance(value, list):
+            continue
+        if cls is not ModelConfig:  # ModelConfig checks its own values
+            _check_type(fields[key], value, context)
+        if isinstance(value, list):
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
@@ -72,14 +98,23 @@ class ExperimentConfig:
                  "pretrain", "finetune", "eval_attack"}
 
     def __init__(self, raw):
+        if not isinstance(raw, dict):
+            raise ConfigError("the config must be a JSON object")
         unknown = set(raw) - self._TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
         for key in ("out_dir", "model", "target_data", "finetune"):
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r}")
+        if not isinstance(raw["out_dir"], str):
+            raise ConfigError(f"out_dir must be a string, got "
+                              f"{raw['out_dir']!r}")
+        seeds = raw.get("seeds", [0])
+        if not (isinstance(seeds, list) and seeds and _int_list(seeds)):
+            raise ConfigError(f"seeds must be a non-empty list of integers, "
+                              f"got {seeds!r}")
         self.out_dir = raw["out_dir"]
-        self.seeds = list(raw.get("seeds", [0]))
+        self.seeds = list(seeds)
         self.model = _build(ModelConfig, raw["model"], "model")
         self.target_data = parse_dataset_spec(raw["target_data"],
                                               "target_data")

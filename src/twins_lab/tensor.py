@@ -17,39 +17,34 @@ weight an output. None of them broadcasts.
 
 Operations record their inputs and a backward closure on the output
 node; ``backward`` replays the closures in reverse topological order,
-passing each its node's gradient. Only nodes on a path to a
-gradient-requiring leaf are recorded, so constant subgraphs cost nothing
-at backward time. A closure refers to its operands but never to its own
-node, so a graph holds no reference cycle and is freed as soon as its
-loss goes out of scope. Callers that loop over steps (training, PGD,
-evaluation) drop a step's loss, logits and captured nodes once its
-scalar, sign or argmax has been read, before the next step builds its
-graph: one graph is live at a time, and the next step's same-shaped
-arrays reuse its memory.
+passing each its node's gradient. A node is recorded only when one of
+its operands is tracked (requires gradients, or is itself recorded), so
+constant subgraphs cost nothing at backward time. A closure refers to
+its operands but never to its own node, so a graph holds no reference
+cycle and is freed as soon as its loss goes out of scope. Callers that
+loop over steps (training, PGD, evaluation) drop a step's loss, logits
+and captured nodes once its scalar, sign or argmax has been read, before
+the next step builds its graph: one graph is live at a time, and the
+next step's same-shaped arrays reuse its memory.
 
-A reverse pass differentiates toward a set of tensors: the loss's
-ancestors that descend from one of them receive a gradient and run their
-closure; every other graph node's ``.grad`` is None, and a closure adds
-into an operand only when that operand receives one. A ``.grad`` is made
-on first write: the first contribution becomes it and later ones are
-added out of place, so after the pass a ``.grad`` is read-only and may
-share memory with a neighbour's. ``backward()`` alone differentiates
-toward every gradient-requiring leaf; ``backprop`` asks for the named
-parameters and ``pgd_attack`` for its input, so an attack step never
-computes a parameter gradient.
+Which operands receive a gradient is decided once, when a node is
+recorded: its closure adds into exactly the operands that were tracked
+at that moment, and a reverse pass gives every recorded node a
+gradient. A ``.grad`` is made on first write: the first contribution
+becomes it and later ones are added out of place, so after the pass a
+``.grad`` is read-only and may share memory with a neighbour's.
 
-Parameters are the only operands whose ``.grad`` outlives a pass, so
-the ops that take one (``conv2d``, both batch-norm nodes and ``linear``)
-decide when they run which operands their closure may add into: those
-tracked at that moment. An untracked operand is not in the graph, and
-its ``.grad`` may be left over from an earlier pass. A forward whose
-parameters do not require gradients also keeps nothing that only their
-gradients read: ``conv2d`` drops its im2col columns, ``batch_norm_fixed``
-scales x-hat into its output in place instead of keeping it, and
-``linear`` drops its flattened input. Forwards that train nothing run in
-``untracked(params)``: ``pgd_attack``'s graphs hold only what the input
-gradient needs, so two share no node and may be built and differentiated
-in two threads at once; every other such forward records no node.
+Parameters are the only operands whose ``.grad`` outlives a pass. An
+untracked parameter is not in the graph, and its ``.grad`` may be left
+over from an earlier pass. A forward whose parameters do not require
+gradients also keeps nothing that only their gradients read: ``conv2d``
+drops its im2col columns, ``batch_norm_fixed`` scales x-hat into its
+output in place instead of keeping it, and ``linear`` drops its
+flattened input. Forwards that train nothing run in
+``untracked(params)``: ``pgd_attack``'s graphs have the input as their
+only leaf and hold only what its gradient needs, so two share no node
+and may be built and differentiated in two threads at once; every other
+such forward records no node.
 """
 
 import contextlib
@@ -57,9 +52,6 @@ import contextlib
 import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-
-# `.grad` of a node that receives a gradient before its first contribution
-_UNWRITTEN = object()
 
 
 class ShapeError(ValueError):
@@ -80,7 +72,7 @@ def _accumulate(t, g):
     out of place, so no contribution is ever written through. The sum is
     cast to `t`'s dtype, as an in-place add into a buffer would be.
     """
-    if t.grad is _UNWRITTEN:
+    if t.grad is None:
         t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad = np.asarray(t.grad + g, dtype=t.data.dtype)
@@ -126,21 +118,17 @@ class Tensor:
             out._backward = backward
         return out
 
-    def backward(self, inputs=None):
-        """Set `.grad` of the graph's nodes to d(self)/d(node).
+    def backward(self):
+        """Set `.grad` of every node in the graph to d(self)/d(node).
 
-        With `inputs`, only nodes on a path from one of those tensors to
-        `self` receive a gradient and run their closure; every other graph
-        node's `.grad` is set to None. Without it, every node does. Each
-        `.grad` is made on first write, so treat it as read-only: it may
-        be the very array of a neighbouring node's `.grad`.
+        Each `.grad` is made on first write, so treat it as read-only: it
+        may be the very array of a neighbouring node's `.grad`.
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss node")
         topo = []
-        visited = set()
+        visited = {id(self)}
         stack = [(self, iter(self._prev))]
-        visited.add(id(self))
         while stack:
             node, it = stack[-1]
             child = next(it, None)
@@ -149,23 +137,13 @@ class Tensor:
                 topo.append(node)
             elif id(child) not in visited:
                 visited.add(id(child))
+                child.grad = None  # drop what an earlier pass left
                 stack.append((child, iter(child._prev)))
-        wanted = None if inputs is None else {id(t) for t in inputs}
-        # topo lists every node after its operands, so whether they
-        # receive a gradient is already decided when the node's turn comes
-        for node in topo:
-            if (wanted is None or id(node) in wanted
-                    or any(p.grad is not None for p in node._prev)):
-                node.grad = _UNWRITTEN
-            else:
-                node.grad = None
-        if self.grad is None:
-            return
         self.grad = np.ones_like(self.data)
-        # every node receiving a gradient feeds one that does, so each
-        # has had its first write by the time its closure runs
+        # topo lists every node after its operands, so each node's
+        # consumers have all added into it by the time its closure runs
         for node in reversed(topo):
-            if node.grad is not None and node._backward is not None:
+            if node._backward is not None:
                 node._backward(node.grad)
 
     # -- elementwise arithmetic ------------------------------------------
@@ -183,11 +161,12 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, self._operand(other)
+        grad_a, grad_b = a._tracked(), b._tracked()
 
         def bk(dout):
-            if a.grad is not None:
+            if grad_a:
                 _accumulate(a, dout)
-            if b.grad is not None:
+            if grad_b:
                 _accumulate(b, dout)
 
         return Tensor._make(a.data + b.data, (a, b), bk)
@@ -196,11 +175,12 @@ class Tensor:
 
     def __mul__(self, other):
         a, b = self, self._operand(other)
+        grad_a, grad_b = a._tracked(), b._tracked()
 
         def bk(dout):
-            if a.grad is not None:
+            if grad_a:
                 _accumulate(a, dout * b.data)
-            if b.grad is not None:
+            if grad_b:
                 _accumulate(b, dout * a.data)
 
         return Tensor._make(a.data * b.data, (a, b), bk)
@@ -212,8 +192,7 @@ class Tensor:
         a = self
 
         def bk(dout):
-            if a.grad is not None:
-                _accumulate(a, np.broadcast_to(dout, a.data.shape))
+            _accumulate(a, np.broadcast_to(dout, a.data.shape))
 
         return Tensor._make(a.data.sum(), (a,), bk)
 
@@ -238,11 +217,11 @@ def linear(x, w, b):
         x2 = None  # only the weight gradient reads the input
 
     def bk(dout):
-        if grad_b and b.grad is not None:
+        if grad_b:
             _accumulate(b, dout.sum(axis=0))
-        if grad_w and w.grad is not None:
+        if grad_w:
             _accumulate(w, x2.T @ dout)
-        if grad_x and x.grad is not None:
+        if grad_x:
             _accumulate(x, (dout @ w.data.T).reshape(x.data.shape))
 
     return Tensor._make(val, (x, w, b), bk)
@@ -255,9 +234,8 @@ def global_avg_pool(x):
     inv = np.asarray(1.0 / (x.data.shape[2] * x.data.shape[3]), x.data.dtype)
 
     def bk(dout):
-        if x.grad is not None:
-            _accumulate(x, np.broadcast_to((dout * inv)[:, :, None, None],
-                                           x.data.shape))
+        _accumulate(x, np.broadcast_to((dout * inv)[:, :, None, None],
+                                       x.data.shape))
 
     return Tensor._make(x.data.sum(axis=(2, 3)) * inv, (x,), bk)
 
@@ -273,11 +251,10 @@ def feature_distance(feats, ref):
     inv = np.asarray(1.0 / dist.size, feats.data.dtype)
 
     def bk(dout):
-        if feats.grad is not None:
-            live = dist > 0
-            g = np.where(live, dout * inv / (2.0 * np.where(live, dist, 1.0)),
-                         0.0)
-            _accumulate(feats, 2.0 * (g[:, None] * d))
+        live = dist > 0
+        g = np.where(live, dout * inv / (2.0 * np.where(live, dist, 1.0)),
+                     0.0)
+        _accumulate(feats, 2.0 * (g[:, None] * d))
 
     return Tensor._make(dist.sum() * inv, (feats,), bk)
 
@@ -404,10 +381,10 @@ def conv2d(x, k, stride=1, pad=0):
         cols = None  # only the kernel gradient reads the columns
 
     def bk(dout):
-        if grad_b and b.grad is not None:
+        if grad_b:
             _accumulate(b, conv2d_weight_grad(a.data, dout, kh, kw, stride,
                                               pad, cols=cols))
-        if grad_a and a.grad is not None:
+        if grad_a:
             _accumulate(a, _conv2d_input_grad(dout, b.data, a.data, stride,
                                               pad))
 
@@ -486,13 +463,13 @@ def batch_norm(x, gamma, beta, eps):
     def bk(dout):
         dy = _nhwc(dout * (y > 0))
         dy_sum = _channel_sum(dy)
-        if grad_b and beta.grad is not None:
+        if grad_b:
             _accumulate(beta, dy_sum)
         dy = _rows(dy)
         dyx_sum = _channel_sum((dy * xhat).reshape(shape))
-        if grad_g and gamma.grad is not None:
+        if grad_g:
             _accumulate(gamma, dyx_sum)
-        if grad_x and x.grad is not None:
+        if grad_x:
             dx = xhat * _tile(-inv_m * dyx_sum, w)
             dx += dy
             dx -= _tile(inv_m * dy_sum, w)
@@ -524,12 +501,12 @@ def batch_norm_fixed(x, mean, var, gamma, beta, eps):
 
     def bk(dout):
         dy = _nhwc(dout * (y > 0))
-        if grad_b and beta.grad is not None:
+        if grad_b:
             _accumulate(beta, _channel_sum(dy))
         dy = _rows(dy)
-        if grad_g and gamma.grad is not None:
+        if grad_g:
             _accumulate(gamma, _channel_sum((dy * xhat).reshape(shape)))
-        if grad_x and x.grad is not None:
+        if grad_x:
             _accumulate(x, _nchw((dy * _tile(g / std, w)).reshape(shape)))
 
     return Tensor._make(y, (x, gamma, beta), bk)
@@ -557,10 +534,9 @@ def softmax_cross_entropy(logits, labels):
     a = logits
 
     def bk(dout):
-        if a.grad is not None:
-            g = np.exp(ls)
-            g[np.arange(n), labels] -= 1.0
-            _accumulate(a, dout * g / n)
+        g = np.exp(ls)
+        g[np.arange(n), labels] -= 1.0
+        _accumulate(a, dout * g / n)
 
     return Tensor._make(np.asarray(val, dtype=logits.data.dtype), (a,), bk)
 
@@ -576,11 +552,12 @@ def kl_div_logits(p_logits, q_logits):
     row_kl = (p * (lp - lq)).sum(axis=1)
     val = row_kl.mean()
     a, b = p_logits, q_logits
+    grad_a, grad_b = a._tracked(), b._tracked()
 
     def bk(dout):
-        if a.grad is not None:
+        if grad_a:
             _accumulate(a, dout / n * p * ((lp - lq) - row_kl[:, None]))
-        if b.grad is not None:
+        if grad_b:
             _accumulate(b, dout / n * (np.exp(lq) - p))
 
     return Tensor._make(np.asarray(val, dtype=p_logits.data.dtype), (a, b), bk)
@@ -635,11 +612,10 @@ def untracked(params):
 
 
 def backprop(loss, params, names=None):
-    """Run reverse mode from a scalar loss; return a name->gradient map.
+    """Run reverse mode from a scalar loss; return a name->gradient map
+    of the named parameters (all by default).
 
-    The pass differentiates toward the named parameters (all by default)
-    only. Parameters absent from the loss graph get an explicit zero
-    gradient.
+    Parameters absent from the loss graph get an explicit zero gradient.
     """
     if loss.data.size != 1:
         raise ShapeError("backprop requires a scalar loss")
@@ -647,7 +623,7 @@ def backprop(loss, params, names=None):
         p.grad = None  # drop stale gradients from earlier passes
     if names is None:
         names = params.names()
-    loss.backward(inputs=[params[name] for name in names])
+    loss.backward()
     grads = {}
     for name in names:
         p = params[name]

@@ -38,6 +38,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown training method: {self.method!r}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
         if self.method.startswith("twins") and self.batch % 2 != 0:
             raise ValueError("twins methods need an even batch size")
         for name in ("eta", "lambda_wd", "momentum", "lambda_twins",

@@ -160,6 +160,38 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+def _corruptions(body, header):
+    """`body` with each bit of its first `header` bytes flipped, cut at
+    every length, and with one byte appended."""
+    for i in range(header):
+        for bit in range(8):
+            yield body[:i] + bytes([body[i] ^ (1 << bit)]) + body[i + 1:]
+    for length in range(len(body)):
+        yield body[:length]
+    yield body + b"\0"
+
+
+def test_idx_rejects_every_header_flip_cut_and_extra_byte(tmp_path):
+    n = 4
+    rng = np.random.default_rng(12)
+    images = (struct.pack(">iiii", 0x803, n, 28, 28)
+              + rng.integers(0, 256, size=n * 28 * 28, dtype=np.uint8)
+              .tobytes())
+    labels = struct.pack(">ii", 0x801, n) + bytes([0, 1, 0, 1])
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    cases = ([(bad, labels) for bad in _corruptions(images, 16)]
+             + [(images, bad) for bad in _corruptions(labels, 8)])
+    assert len(cases) == 128 + len(images) + 1 + 64 + len(labels) + 1
+    for image_bytes, label_bytes in cases:
+        ip.write_bytes(image_bytes)
+        lp.write_bytes(label_bytes)
+        with pytest.raises((IdxFormatError, IdxCountMismatchError)):
+            load_idx(str(ip), str(lp))
+    ip.write_bytes(images)
+    lp.write_bytes(labels)
+    assert load_idx(str(ip), str(lp))[0].shape == (n, 1, 28, 28)
+
+
 @pytest.mark.parametrize("fraction", [0.0, 0.001, 0.25, 0.5])
 @pytest.mark.parametrize("source", ["synthetic", "idx-files", "npz"])
 def test_val_split_size_counts_what_load_dataset_splits(tmp_path, source,

@@ -283,6 +283,37 @@ def test_diverged_run_stops_naming_epoch_and_batch(tmp_path, capsys):
                                            "metrics_seed0.csv"))
 
 
+def _set(path, value):
+    """An edit of a config that sets the dotted `path` to `value`."""
+    def edit(cfg):
+        *parents, key = path.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        return cfg
+    return edit
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_set("finetune.epochs", "1"), "epochs"),
+    (_set("finetune.batch", 0), "batch"),
+    (_set("finetune.attack.rand_init", "no"), "rand_init"),
+    (_set("target_data.per_class", "10"), "per_class"),
+    (_set("seeds", []), "seeds"),
+    (lambda cfg: [cfg], "JSON object"),
+], ids=["epochs", "batch", "rand_init", "per_class", "seeds", "list"])
+def test_cli_rejects_wrong_typed_config_values(tmp_path, capsys, monkeypatch,
+                                               edit, key):
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, edit(_base_config(str(out))))
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 1
 
@@ -386,6 +417,45 @@ def test_cli_rejects_idx_label_outside_classes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "label 2 of record 5" in err
     assert not (out / "pretrain_metrics.csv").exists()
+
+
+def test_cli_rejects_an_idx_file_with_bytes_past_its_last_record(tmp_path,
+                                                                 capsys):
+    images = np.random.default_rng(0).uniform(size=(16, 1, 8, 8))
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    save_idx(images, np.arange(16) % 2, ip, lp)
+    with open(ip, "ab") as fh:
+        fh.write(b"\0")
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["model"]["input_shape"] = [1, 8, 8]
+    cfg["source_data"] = {"source": "idx-files", "classes": 2,
+                          "images_path": ip, "labels_path": lp}
+    cfg["pretrain"] = dict(cfg["finetune"])
+    assert main(["pretrain", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IDX image file holds 1041 bytes")
+    assert not (out / "pretrain_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("x", [
+    np.arange(48 * 3 * 8 * 8).reshape(48, 3, 8, 8).astype(np.uint8),
+    np.full((48, 3, 8, 8), np.nan, np.float32),
+    np.full((48, 3, 8, 8), -0.5),
+], ids=["uint8", "nan", "negative"])
+def test_cli_run_rejects_npz_pixels_outside_the_unit_range(tmp_path, capsys,
+                                                           monkeypatch, x):
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    archive = str(tmp_path / "data.npz")
+    np.savez(archive, x=x, y=np.arange(48) % 2)
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["target_data"] = {"source": "npz", "classes": 2,
+                          "image_shape": [3, 8, 8], "images_path": archive}
+    assert main(["run", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {archive}: pixels must be finite")
+    assert not out.exists() or os.listdir(out) == []
 
 
 class _FakeLibc:

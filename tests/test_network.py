@@ -325,8 +325,7 @@ def test_conv_outputs_are_channels_last_and_input_grads_keep_layout(mode):
                requires_grad=True)
     capture = {}
     _, logits = model.forward(x, mode, update_running=False, capture=capture)
-    softmax_cross_entropy(logits, rng.integers(0, 3, size=5)).backward(
-        inputs=(x,))
+    softmax_cross_entropy(logits, rng.integers(0, 3, size=5)).backward()
     for i, width in enumerate(model.config.widths, start=1):
         pre = capture[f"bn{i}.pre"].data
         assert pre.shape[:2] == (5, width)  # NCHW in shape

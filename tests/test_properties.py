@@ -9,24 +9,27 @@ against the per-channel broadcast formulas, in both float dtypes. For PGD it dra
 number of steps and the attacked branch, and checks the attack's
 invariants (Madry et al., arXiv 1706.06083), and that an attack on two
 CPUs, whose halves run in two threads at once, is bitwise the attack on
-one CPU.
+one CPU. For experiment configs it draws a key and a value of the wrong
+type, which must fail as a `ConfigError` naming the key.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twins_lab import attack
 from twins_lab.attack import AttackConfig, pgd_attack
+from twins_lab.experiment import ConfigError, ExperimentConfig
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
-from twins_lab.tensor import (_UNWRITTEN, ParamStore, Tensor, _channel_sum,
+from twins_lab.tensor import (ParamStore, Tensor, _channel_sum,
                               _conv2d_forward, backprop, batch_norm,
-                              batch_norm_fixed, conv2d,
-                              conv2d_weight_grad, feature_distance,
-                              finite_diff_grad, global_avg_pool, linear)
+                              batch_norm_fixed, conv2d, conv2d_weight_grad,
+                              feature_distance, finite_diff_grad,
+                              global_avg_pool, linear)
 
 # derandomized, so tier-1 runs the same examples every time
 PROFILE = settings(derandomize=True, database=None, deadline=None,
@@ -267,8 +270,6 @@ def test_bn_rows_match_broadcast_formulas_bitwise(case):
         y = batch_norm_fixed(leaves[0], *stats, *leaves[1:], 1e-3)
         mean, var = stats
     # the node's own backward on the adjoint `dy`, in dy's memory layout
-    for t in leaves:
-        t.grad = _UNWRITTEN
     y._backward(dy)
     ref = _broadcast_bn(x, gamma, beta, 1e-3, dy, stats)
     got = (y.data, mean, var) + tuple(t.grad for t in leaves)
@@ -445,3 +446,74 @@ def test_pgd_on_two_cpus_is_bitwise_the_one_cpu_attack(case):
                                    rng=np.random.default_rng(case["seed"]))
     assert adv[2].dtype == x.dtype
     assert np.array_equal(adv[2], adv[1])
+
+
+_NOT_INT = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                     st.floats(allow_nan=False), st.lists(st.integers(),
+                                                          max_size=2))
+_NOT_NUMBER = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                        st.lists(st.floats(allow_nan=False), max_size=2))
+# what each kind of config value must not be
+_WRONG = {
+    "int": _NOT_INT,
+    "number": _NOT_NUMBER,
+    "bool": st.one_of(st.integers(), st.text(max_size=3), st.none()),
+    "str": st.one_of(st.integers(), st.floats(allow_nan=False),
+                     st.booleans(), st.none(), st.lists(st.text(), max_size=2)),
+    "ints": st.one_of(st.text(max_size=3), st.integers(), st.none(),
+                      st.lists(st.one_of(st.text(max_size=2), st.booleans(),
+                                         st.floats(allow_nan=False),
+                                         st.none()),
+                               min_size=1, max_size=3)),
+    "seeds": st.one_of(st.text(max_size=3), st.integers(), st.just([]),
+                       st.lists(st.one_of(st.text(max_size=2), st.none(),
+                                          st.floats(allow_nan=False)),
+                                min_size=1, max_size=3)),
+}
+
+# (section, key, kind of value)
+_CONFIG_KEYS = (
+    [((), "out_dir", "str"), ((), "seeds", "seeds")]
+    + [(("model",), key, kind) for key, kind in (
+        ("input_shape", "ints"), ("widths", "ints"), ("target_classes", "int"),
+        ("source_classes", "int"), ("dtype", "str"), ("bn_eps", "number"),
+        ("bn_momentum", "number"))]
+    + [(("target_data",), key, kind) for key, kind in (
+        ("source", "str"), ("classes", "int"), ("image_shape", "ints"),
+        ("per_class", "int"), ("noise_std", "number"), ("seed", "int"),
+        ("val_fraction", "number"), ("images_path", "str"),
+        ("labels_path", "str"))]
+    + [(("finetune",), key, kind) for key, kind in (
+        ("method", "str"), ("eta", "number"), ("lambda_wd", "number"),
+        ("momentum", "number"), ("lambda_twins", "number"), ("beta", "number"),
+        ("batch", "int"), ("epochs", "int"), ("milestones", "ints"),
+        ("decay", "number"), ("seed", "int"), ("warmup_epochs", "int"))]
+    + [(("finetune", "attack"), key, kind) for key, kind in (
+        ("epsilon", "number"), ("alpha", "number"), ("steps", "int"),
+        ("rand_init", "bool"), ("loss_kind", "str"))])
+
+
+def _config():
+    return {
+        "out_dir": "out", "seeds": [0],
+        "model": {"input_shape": [3, 8, 8], "widths": [4, 6],
+                  "target_classes": 2},
+        "target_data": {"source": "synthetic", "classes": 2,
+                        "image_shape": [3, 8, 8], "per_class": 24},
+        "finetune": {"method": "at", "epochs": 2, "batch": 8,
+                     "milestones": [1], "attack": {"steps": 1}},
+    }
+
+
+@PROFILE
+@given(st.data())
+def test_wrong_typed_config_value_is_a_config_error_naming_its_key(data):
+    section, key, kind = data.draw(st.sampled_from(_CONFIG_KEYS))
+    value = data.draw(_WRONG[kind])
+    raw = _config()
+    parent = raw
+    for name in section:
+        parent = parent[name]
+    parent[key] = value
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        ExperimentConfig(raw)
