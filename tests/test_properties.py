@@ -448,15 +448,13 @@ def test_pgd_on_two_cpus_is_bitwise_the_one_cpu_attack(case):
     assert np.array_equal(adv[2], adv[1])
 
 
-_NOT_INT = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
-                     st.floats(allow_nan=False), st.lists(st.integers(),
-                                                          max_size=2))
-_NOT_NUMBER = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
-                        st.lists(st.floats(allow_nan=False), max_size=2))
 # what each kind of config value must not be
 _WRONG = {
-    "int": _NOT_INT,
-    "number": _NOT_NUMBER,
+    "int": st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                     st.floats(allow_nan=False),
+                     st.lists(st.integers(), max_size=2)),
+    "number": st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                        st.lists(st.floats(allow_nan=False), max_size=2)),
     "bool": st.one_of(st.integers(), st.text(max_size=3), st.none()),
     "str": st.one_of(st.integers(), st.floats(allow_nan=False),
                      st.booleans(), st.none(), st.lists(st.text(), max_size=2)),
