@@ -133,7 +133,7 @@ def frozen_grad_formula_check(model, layer, batch):
     return grads[layer], analytic
 
 
-def evaluate(model, data, attack_cfg=None, rng=None, batch=128):
+def evaluate(model, data, attack_cfg=None, rng=None, batch=256):
     """(clean accuracy, robust accuracy) on a labelled dataset.
 
     Clean predictions use Inference normalization; the attack, when

@@ -9,14 +9,15 @@ what the input gradient needs and contain no parameter node.
 Under fixed statistics (INFERENCE and FROZEN_TRAIN) each image's
 gradient is independent of the rest of its batch, so an even batch of
 at least `_MIN_SPLIT_BATCH` images is attacked as two equal halves,
-each on its own graph, both writing into one output array. Where the
-process may run on two or more CPUs, the second half runs in a worker
-thread while the first runs in the calling thread; on one CPU the halves
-run one after the other. Every array operation sees the same operands
-either way, so results are bit-identical on any number of CPUs. The
-random start is still drawn for the whole batch first. ADAPTIVE_TRAIN
-attacks stay whole, because batch statistics couple the images, and so
-do odd and smaller batches.
+each on its own graph, each step writing into its rows of one output
+array in place. `evaluate`'s full batches of 256 images make halves of
+128. Where the process may run on two or more CPUs, the second half
+runs in a worker thread while the first runs in the calling thread; on
+one CPU the halves run one after the other. Every array operation sees
+the same operands either way, so results are bit-identical on any
+number of CPUs. The random start is still drawn for the whole batch
+first. ADAPTIVE_TRAIN attacks stay whole, because batch statistics
+couple the images, and so do odd and smaller batches.
 
 The halves also reproduce the whole-batch attack wherever BLAS rounds a
 row the same way in products of n and n/2 rows: a half's mean loss
@@ -24,9 +25,10 @@ divides by n/2 where the whole batch's divides by n, so each value of
 its backward pass is the whole batch's times exactly 2; a power-of-two
 scale commutes with every rounding short of underflow, and the sign of
 the input gradient is unchanged. OpenBLAS 0.3.31 on an AVX-512 CPU
-rounds alike for batches of 128 images of 3x16x16, but not for every
-shape: a product with a row count off its kernels' unroll, or one small
-enough for its small-matrix kernels, may round differently. That is why
+rounds alike for batches of 128, 176 and 256 images of 3x16x16 (PGD-10
+with widths 16/32), but not for every shape: a product with a row count
+off its kernels' unroll, or one small enough for its small-matrix
+kernels, may round differently. That is why
 the halves, and not the whole batch, are the computation on every CPU
 count.
 """
@@ -45,8 +47,10 @@ _PER_IMAGE_BRANCHES = (BranchMode.INFERENCE, BranchMode.FROZEN_TRAIN)
 
 # The smallest batch attacked as two halves. Two threads pay only when
 # the halves' array operations are long next to the GIL handoffs between
-# them: on a 2-vCPU VM, PGD on 3x16x16 images took 9-25% less time at
-# batch 128, but 30% more at batch 90 and 50% more at 48.
+# them, which cost per numpy call, not per image: on a 2-vCPU VM, 400
+# INFERENCE steps on 3x16x16 images ran about 1.0x as fast in two threads
+# as in one with 64-image halves, and about 1.6x with 128-image halves
+# (batch 90 took 30% more time split than whole, and batch 48 50% more).
 _MIN_SPLIT_BATCH = 128
 
 
@@ -123,9 +127,9 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
         first, second = slice(0, n // 2), slice(n // 2, None)
 
         def ascend(rows):
-            x_adv[rows] = _ascend(model, branch, x[rows], x_adv[rows],
-                                  None if y is None else y[rows],
-                                  lo[rows], hi[rows], cfg, head)
+            _ascend(model, branch, x[rows], x_adv[rows],
+                    None if y is None else y[rows], lo[rows], hi[rows], cfg,
+                    head)
 
         if _usable_cpus() < 2:
             ascend(first)
@@ -151,9 +155,10 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
 
 
 def _ascend(model, branch, x, x_adv, y, lo, hi, cfg, head):
-    """`x_adv` after `cfg.steps` signed-gradient steps, each clamped
-    into [lo, hi]. The kl_to_clean target is the branch's prediction on
-    the same rows of `x`, so a step at `x` itself has a zero gradient."""
+    """Take `cfg.steps` signed-gradient steps from `x_adv`, each clamped
+    into [lo, hi], writing each step into `x_adv` in place; returns
+    `x_adv`. The kl_to_clean target is the branch's prediction on the
+    same rows of `x`, so a step at `x` itself has a zero gradient."""
     clean_logits = None
     if cfg.loss_kind == "kl_to_clean":
         # the values only, so no graph of the clean pass stays alive
@@ -161,7 +166,11 @@ def _ascend(model, branch, x, x_adv, y, lo, hi, cfg, head):
                                             head=head)[1].data)
     for _ in range(cfg.steps):
         step = _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head)
-        x_adv = _clamp(x_adv + cfg.alpha * step, lo, hi)
+        step *= cfg.alpha
+        x_adv += step
+        del step  # freed before the next step's graph is built
+        np.maximum(x_adv, lo, out=x_adv)
+        np.minimum(x_adv, hi, out=x_adv)
     return x_adv
 
 

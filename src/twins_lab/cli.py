@@ -79,7 +79,8 @@ def _cmd_finetune(args):
 def _cmd_eval(args):
     cfg = _load_config(args)
     model, meta = load_checkpoint(args.checkpoint)
-    _, val = load_dataset(cfg.target_data)
+    # the train split is dropped at once, not held through evaluation
+    val = load_dataset(cfg.target_data)[1]
     attack = cfg.eval_attack or cfg.finetune.attack
     clean, robust = evaluate(model, val, attack,
                              rng=np.random.default_rng(args.seed or 0))

@@ -14,8 +14,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .tensor import (ParamStore, Tensor, batch_norm, batch_norm_fixed, conv2d,
-                     global_avg_pool, linear, untracked)
+from .tensor import (ParamStore, Tensor, batch_norm, conv2d, global_avg_pool,
+                     linear, untracked)
 
 # stride and zero padding of every MiniCNN convolution
 CONV_GEOMETRY = {"stride": 2, "pad": 1}
@@ -105,21 +105,25 @@ def bn_forward(x, state, mode):
 
     Returns (y, batch_stats); batch_stats is a (mean, var) pair of plain
     arrays in ADAPTIVE_TRAIN mode and None otherwise. Each branch records
-    one graph node. Never mutates the state; committing batch stats is
-    `bn_update_running`'s job.
+    one graph node, into which x's own node (MiniCNN's conv) is folded,
+    so x must feed nothing else. Never mutates the state; committing
+    batch stats is `bn_update_running`'s job.
     """
     if mode is BranchMode.ADAPTIVE_TRAIN:
         if x.shape[0] < 2:
             raise ValueError("adaptive BN needs a batch of at least 2")
-        y, mean, var = batch_norm(x, state.gamma_a, state.beta_a, state.eps)
+        y, mean, var = batch_norm(x, state.gamma_a, state.beta_a, state.eps,
+                                  fold=True)
         return y, (mean, var)
     if mode is BranchMode.FROZEN_TRAIN:
-        return batch_norm_fixed(x, state.frozen_mean, state.frozen_var,
-                                state.gamma_f, state.beta_f, state.eps), None
-    if mode is BranchMode.INFERENCE:
-        return batch_norm_fixed(x, state.running_mean, state.running_var,
-                                state.gamma_a, state.beta_a, state.eps), None
-    raise ValueError(f"unknown branch mode: {mode!r}")
+        stats, gamma, beta = ((state.frozen_mean, state.frozen_var),
+                              state.gamma_f, state.beta_f)
+    elif mode is BranchMode.INFERENCE:
+        stats, gamma, beta = ((state.running_mean, state.running_var),
+                              state.gamma_a, state.beta_a)
+    else:
+        raise ValueError(f"unknown branch mode: {mode!r}")
+    return batch_norm(x, gamma, beta, state.eps, stats, fold=True)[0], None
 
 
 def bn_update_running(state, batch_stats):
@@ -187,8 +191,10 @@ class MiniCNN:
 
         `update_running` commits the batch statistics to the running
         estimates in ADAPTIVE_TRAIN and is ignored in the other modes.
-        `capture`, if a dict, receives intermediate graph nodes keyed by
-        layer (conv input, pre-BN activation and BN-and-ReLU output).
+        Each conv, BN and ReLU layer is one graph node. `capture`, if a
+        dict, receives per layer its input and output nodes ("bn{i}.in",
+        "bn{i}.out") and its pre-BN activation as a plain array
+        ("bn{i}.pre"); the graph itself keeps no pre-BN array.
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.config.np_dtype()))
@@ -198,8 +204,9 @@ class MiniCNN:
             pre = conv2d(h, self.params[f"conv{i}"], **CONV_GEOMETRY)
             if capture is not None:
                 capture[f"bn{i}.in"] = h
-                capture[f"bn{i}.pre"] = pre
+                capture[f"bn{i}.pre"] = pre.data
             h, stats = bn_forward(pre, state, mode)
+            del pre  # the pre-BN array is freed before the next conv runs
             if capture is not None:
                 capture[f"bn{i}.out"] = h
             if mode is BranchMode.ADAPTIVE_TRAIN and update_running:

@@ -8,7 +8,9 @@ interface, but conv and batch-norm outputs are channels-last in memory
 and a ``.grad`` may have any memory order.
 
 The op set is the one the network runs, each a single graph node with a
-closed-form backward: ``conv2d``, the two batch-norm-and-ReLU nodes,
+closed-form backward: ``conv2d``, batch norm with the ReLU that follows
+it (``batch_norm``, which can fold the conv node that feeds it into
+itself, so that a conv, BN and ReLU layer is one node),
 ``global_avg_pool``, ``linear`` (the classifier head), the fused
 cross-entropy and KL losses, and ``feature_distance`` (lwf's penalty).
 ``+`` and ``*`` take an operand of the same shape or a scalar, and
@@ -37,10 +39,10 @@ becomes it and later ones are added out of place, so after the pass a
 Parameters are the only operands whose ``.grad`` outlives a pass. An
 untracked parameter is not in the graph, and its ``.grad`` may be left
 over from an earlier pass. A forward whose parameters do not require
-gradients also keeps nothing that only their gradients read: ``conv2d``
-drops its im2col columns, ``batch_norm_fixed`` scales x-hat into its
-output in place instead of keeping it, and ``linear`` drops its
-flattened input. Forwards that train nothing run in
+gradients also keeps nothing that only their gradients read: a
+convolution drops its im2col columns, batch norm with fixed statistics
+scales x-hat into its output in place instead of keeping it, and
+``linear`` drops its flattened input. Forwards that train nothing run in
 ``untracked(params)``: ``pgd_attack``'s graphs have the input as their
 only leaf and hold only what its gradient needs, so two share no node
 and may be built and differentiated in two threads at once; every other
@@ -48,6 +50,7 @@ such forward records no node.
 """
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -328,35 +331,40 @@ def conv2d_weight_grad(x, grad_out, kh, kw, stride, pad, cols=None):
     return dk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
 
 
-def _conv2d_input_grad(grad_out, k, x, stride, pad):
-    """d(conv2d)/d(input), returned in the memory order of `x`.
+def _conv2d_input_grad(g, k, x, stride, pad):
+    """d(conv2d)/d(input) from `g`, the (Ho*Wo*N, O) rows of the output
+    adjoint, returned in the memory order of `x`.
 
-    Each tap's gk[u,v,i,j,n,c] = sum_o grad_out[n,o,i,j] * k[o,c,u,v] is
-    added at a stride into a padded buffer. For an NCHW-contiguous x,
-    whose few channels would make narrow per-tap GEMMs, gk comes from one
+    Each tap's gk[u,v,i,j,n,c] = sum_o g[i,j,n,o] * k[o,c,u,v] is added at
+    a stride into a padded buffer, one kernel row u at a time, so only
+    that row's taps are alive. For an NCHW-contiguous x, whose few
+    channels would make narrow per-tap GEMMs, a row's taps come from one
     GEMM with the batch innermost; otherwise from one GEMM per tap with
     (N, C) innermost. Either way each strided add runs over contiguous
     blocks.
     """
     n, c, h, w = x.shape
     o, _, kh, kw = k.shape
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
     hp, wp = h + 2 * pad, w + 2 * pad
-    g = grad_out.transpose(2, 3, 0, 1).reshape(ho * wo * n, o)
-    if x.flags.c_contiguous:
-        gk = k.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) @ g.T
-        gk = gk.reshape(kh, kw, c, ho, wo, n).transpose(0, 1, 3, 4, 5, 2)
-        dxp = np.zeros((c, hp, wp, n), grad_out.dtype).transpose(1, 2, 3, 0)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    nchw = x.flags.c_contiguous
+    if nchw:
+        taps = k.transpose(2, 3, 1, 0).reshape(kh, kw * c, o)
+        dxp = np.zeros((c, hp, wp, n), g.dtype).transpose(1, 2, 3, 0)
     else:
-        gk = np.matmul(g, np.ascontiguousarray(k.transpose(2, 3, 0, 1)))
-        gk = gk.reshape(kh, kw, ho, wo, n, c)
-        dxp = np.zeros((hp, wp, n, c), grad_out.dtype)
+        taps = np.ascontiguousarray(k.transpose(2, 3, 0, 1))
+        dxp = np.zeros((hp, wp, n, c), g.dtype)
     for u in range(kh):
+        if nchw:
+            gk = (taps[u] @ g.T).reshape(kw, c, ho, wo, n)
+            gk = gk.transpose(0, 2, 3, 4, 1)
+        else:
+            gk = np.matmul(g, taps[u]).reshape(kw, ho, wo, n, c)
         for v in range(kw):
             dxp[u:u + ho * stride:stride,
-                v:v + wo * stride:stride] += gk[u, v]
-    del gk  # the result may reuse its memory, which lowers peak memory
-    dx = np.empty_like(x, dtype=grad_out.dtype)
+                v:v + wo * stride:stride] += gk[v]
+        del gk  # the next row, and then the result, may reuse its memory
+    dx = np.empty_like(x, dtype=g.dtype)
     dx[...] = dxp[pad:pad + h, pad:pad + w].transpose(2, 3, 0, 1)
     return dx
 
@@ -385,7 +393,11 @@ def conv2d(x, k, stride=1, pad=0):
             _accumulate(b, conv2d_weight_grad(a.data, dout, kh, kw, stride,
                                               pad, cols=cols))
         if grad_a:
-            _accumulate(a, _conv2d_input_grad(dout, b.data, a.data, stride,
+            g = dout.transpose(2, 3, 0, 1).reshape(-1, dout.shape[1])
+            # frees the adjoint when the caller handed over its only
+            # reference, as a batch norm that folded this node does
+            del dout
+            _accumulate(a, _conv2d_input_grad(g, b.data, a.data, stride,
                                               pad))
 
     return Tensor._make(val, (a, b), bk)
@@ -393,8 +405,8 @@ def conv2d(x, k, stride=1, pad=0):
 
 # -- batch normalization -------------------------------------------------
 #
-# Each op is one graph node with a closed-form backward (Ioffe & Szegedy
-# 2015, arXiv 1502.03167). Statistics are per channel over the N, H and
+# Batch norm follows Ioffe & Szegedy 2015 (arXiv 1502.03167), with a
+# closed-form backward. Statistics are per channel over the N, H and
 # W axes of an NCHW input, summed by `_channel_sum` on the (N*H*W, C)
 # view of the channels-last array. The elementwise work runs on its
 # (N*H, W*C) rows instead, so numpy's inner loops are W*C long rather
@@ -402,8 +414,9 @@ def conv2d(x, k, stride=1, pad=0):
 # backward's coefficients) is tiled once to W*C entries, which leaves
 # each element's arithmetic as a broadcast would do it. For a conv
 # output the rows are a free view; any other layout is copied into
-# them. Each op ends with ReLU, in place, and its backward starts from
-# the adjoint times (output > 0). The output is channels-last.
+# them. Batch norm ends with ReLU, in place, and its backward starts
+# from the adjoint times (output > 0), then drops each adjoint once the
+# next one exists. The output is channels-last.
 
 
 def _channel_sum(a):
@@ -439,77 +452,81 @@ def _tile(a, w):
     return out.reshape(-1)
 
 
-def batch_norm(x, gamma, beta, eps):
-    """Normalize with batch statistics, then ReLU; returns (y, mean, var).
+def batch_norm(x, gamma, beta, eps, stats=None, fold=False):
+    """ReLU of x normalized per channel and scaled by gamma, plus beta, as
+    one graph node; returns (y, mean, var).
 
-    `mean` and `var` are the biased per-channel batch statistics as plain
-    (C,) arrays. With dy = dout * (y > 0), the backward pass is
-    dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
+    The statistics `mean` and `var` are plain (C,) arrays: the biased
+    batch statistics, or the fixed pair `stats` when given. With
+    dy = dout * (y > 0), the backward pass is
+    dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)) under
+    batch statistics and dx = gamma/sigma * dy under fixed ones.
+
+    With `fold`, x's own node, if x has one, is folded into this node, so
+    that a conv, BN and ReLU layer is one node: its operands become this
+    node's, and its backward runs on dx inside this one. x must feed
+    nothing else, since it leaves the graph; the graph then keeps neither
+    x's array nor its adjoint.
     """
+    grad_x = x._tracked()
+    if fold and x._prev:
+        operands, sink = x._prev, x._backward
+        x._prev, x._backward = (), None
+    else:
+        operands, sink = (x,), functools.partial(_accumulate, x)
+    fixed = stats is not None
     xt = _nhwc(x.data)
     shape, w = xt.shape, xt.shape[2]
     inv_m = 1.0 / (xt.size // xt.shape[3])
-    mean = _channel_sum(xt) * inv_m
+    if fixed:
+        mean, var = stats
+    else:
+        mean = _channel_sum(xt) * inv_m
     xhat = _rows(xt) - _tile(mean, w)
-    var = _channel_sum(np.square(xhat).reshape(shape)) * inv_m
+    if not fixed:
+        var = _channel_sum(np.square(xhat).reshape(shape)) * inv_m
     std = np.sqrt(var + eps)
     xhat /= _tile(std, w)
     g = gamma.data
-    val = xhat * _tile(g, w)
+    grad_g, grad_b = gamma._tracked(), beta._tracked()
+    # fixed statistics read xhat only for gamma's gradient; without it,
+    # scale in place
+    keep = not fixed or grad_g
+    val = np.multiply(xhat, _tile(g, w), out=None if keep else xhat)
     val += _tile(beta.data, w)
     y = _nchw(np.maximum(val, 0, out=val).reshape(shape))
-    grad_x, grad_g, grad_b = x._tracked(), gamma._tracked(), beta._tracked()
-
-    def bk(dout):
-        dy = _nhwc(dout * (y > 0))
-        dy_sum = _channel_sum(dy)
-        if grad_b:
-            _accumulate(beta, dy_sum)
-        dy = _rows(dy)
-        dyx_sum = _channel_sum((dy * xhat).reshape(shape))
-        if grad_g:
-            _accumulate(gamma, dyx_sum)
-        if grad_x:
-            dx = xhat * _tile(-inv_m * dyx_sum, w)
-            dx += dy
-            dx -= _tile(inv_m * dy_sum, w)
-            dx *= _tile(g / std, w)
-            _accumulate(x, _nchw(dx.reshape(shape)))
-
-    return Tensor._make(y, (x, gamma, beta), bk), mean, var
-
-
-def batch_norm_fixed(x, mean, var, gamma, beta, eps):
-    """Normalize with fixed statistics `mean`/`var` (plain (C,) arrays).
-
-    One node: y = relu((x - mean) / sigma * gamma + beta), so
-    dx = dout * (y > 0) * gamma / sigma.
-    """
-    xt = _nhwc(x.data)
-    shape, w = xt.shape, xt.shape[2]
-    std = np.sqrt(var + eps)
-    xhat = _rows(xt) - _tile(mean, w)
-    xhat /= _tile(std, w)
-    g = gamma.data
-    grad_x, grad_g, grad_b = x._tracked(), gamma._tracked(), beta._tracked()
-    # only the gamma gradient reads xhat; without it, scale in place
-    val = np.multiply(xhat, _tile(g, w), out=None if grad_g else xhat)
-    val += _tile(beta.data, w)
-    y = _nchw(np.maximum(val, 0, out=val).reshape(shape))
-    if not grad_g:
+    if not keep:
         xhat = None
 
     def bk(dout):
         dy = _nhwc(dout * (y > 0))
-        if grad_b:
-            _accumulate(beta, _channel_sum(dy))
+        if grad_b or not fixed:
+            dy_sum = _channel_sum(dy)
+            if grad_b:
+                _accumulate(beta, dy_sum)
         dy = _rows(dy)
-        if grad_g:
-            _accumulate(gamma, _channel_sum((dy * xhat).reshape(shape)))
-        if grad_x:
-            _accumulate(x, _nchw((dy * _tile(g / std, w)).reshape(shape)))
+        if grad_g or not fixed:
+            dyx_sum = _channel_sum((dy * xhat).reshape(shape))
+            if grad_g:
+                _accumulate(gamma, dyx_sum)
+        if not grad_x:
+            return
+        if fixed:
+            dx = dy * _tile(g / std, w)
+            del dy
+        else:
+            dx = xhat * _tile(-inv_m * dyx_sum, w)
+            dx += dy
+            del dy
+            dx -= _tile(inv_m * dy_sum, w)
+            dx *= _tile(g / std, w)
+        # handed over in a list, so that a folded node's backward holds
+        # the only reference and can free dx once it has its next array
+        box = [_nchw(dx.reshape(shape))]
+        del dx
+        sink(box.pop())
 
-    return Tensor._make(y, (x, gamma, beta), bk)
+    return Tensor._make(y, operands + (gamma, beta), bk), mean, var
 
 
 # -- losses --------------------------------------------------------------

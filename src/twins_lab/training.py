@@ -38,12 +38,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown training method: {self.method!r}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be at least 1, got {self.batch}")
+        for name in ("batch", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
         if self.method.startswith("twins") and self.batch % 2 != 0:
             raise ValueError("twins methods need an even batch size")
         for name in ("eta", "lambda_wd", "momentum", "lambda_twins",
-                     "lambda_lwf", "lambda_uot", "beta"):
+                     "lambda_lwf", "lambda_uot", "beta", "decay",
+                     "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -134,7 +137,7 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
                 model.forward(adv, BranchMode.FROZEN_TRAIN, head="source",
                               capture=capture)
             for i, state in enumerate(model.bn, start=1):
-                pre = capture[f"bn{i}.pre"].data
+                pre = capture[f"bn{i}.pre"]
                 mean = pre.mean(axis=(0, 2, 3))
                 var = pre.var(axis=(0, 2, 3))
                 m = state.momentum

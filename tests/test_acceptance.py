@@ -216,7 +216,7 @@ def test_criterion_6_warmup_ema():
                   update_running=False, capture=capture)
     expected = []
     for i, state in enumerate(model.bn, start=1):
-        pre = capture[f"bn{i}.pre"].data
+        pre = capture[f"bn{i}.pre"]
         expected.append((0.9 * state.frozen_mean
                          + 0.1 * pre.mean(axis=(0, 2, 3)),
                          0.9 * state.frozen_var

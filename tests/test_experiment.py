@@ -188,6 +188,7 @@ def test_gen_data_reads_back_the_same_split(tmp_path, channels):
     cfg = _base_config(out)
     cfg["target_data"].update(image_shape=[channels, 8, 8], seed=7,
                               val_fraction=0.3)
+    cfg["model"]["input_shape"] = [channels, 8, 8]
     spec = ExperimentConfig(cfg).target_data
     (xt, yt), (xv, yv) = load_dataset(spec)
     assert main(["gen-data", _write_config(tmp_path, cfg)]) == 0
@@ -314,6 +315,38 @@ def test_cli_rejects_wrong_typed_config_values(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def _with_source_data(image_shape):
+    def edit(cfg):
+        cfg["source_data"] = dict(cfg["target_data"],
+                                  image_shape=image_shape)
+        cfg["pretrain"] = dict(cfg["finetune"])
+        return cfg
+    return edit
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_set("finetune.epochs", 0), "epochs"),
+    (_set("finetune.epochs", -1), "epochs"),
+    (_set("finetune.warmup_epochs", -2), "warmup_epochs"),
+    (_set("finetune.decay", -1.0), "decay"),
+    (_set("target_data.classes", 300), "classes"),
+    (_set("target_data.image_shape", [3, 0, 8]), "image_shape"),
+    (_with_source_data([1, 8, 8]), "image_shape"),
+], ids=["epochs-0", "epochs-negative", "warmup_epochs", "decay", "classes",
+        "target-image_shape", "source-image_shape"])
+def test_cli_rejects_out_of_range_config_values(tmp_path, capsys,
+                                                monkeypatch, edit, key):
+    """Values of the right type that no run can use fail when the config
+    is read, before anything is trained or written."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, edit(_base_config(str(out))))
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 1
 
@@ -410,6 +443,7 @@ def test_cli_rejects_idx_label_outside_classes(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _base_config(str(out))
     cfg["model"]["input_shape"] = [1, 8, 8]
+    cfg["target_data"]["image_shape"] = [1, 8, 8]
     cfg["source_data"] = {"source": "idx-files", "classes": 2,
                           "images_path": ip, "labels_path": lp}
     cfg["pretrain"] = dict(cfg["finetune"])
@@ -429,6 +463,7 @@ def test_cli_rejects_an_idx_file_with_bytes_past_its_last_record(tmp_path,
     out = tmp_path / "out"
     cfg = _base_config(str(out))
     cfg["model"]["input_shape"] = [1, 8, 8]
+    cfg["target_data"]["image_shape"] = [1, 8, 8]
     cfg["source_data"] = {"source": "idx-files", "classes": 2,
                           "images_path": ip, "labels_path": lp}
     cfg["pretrain"] = dict(cfg["finetune"])

@@ -5,7 +5,7 @@ from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward, bn_update_running, copy_model,
                                make_finetune_model)
 from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
-                              softmax_cross_entropy, untracked)
+                              softmax_cross_entropy)
 from twins_lab.training import TrainConfig, run_training
 from twins_lab.attack import AttackConfig
 
@@ -292,31 +292,6 @@ def test_update_running_defaults_by_mode():
     assert not np.array_equal(model.bn[0].running_mean, before)
 
 
-def _recorded_nodes(root):
-    """The graph nodes below `root` that an op recorded (leaves excluded)."""
-    count, stack, seen = 0, [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node._prev:
-            seen.add(id(node))
-            count += 1
-            stack.extend(node._prev)
-    return count
-
-
-@pytest.mark.parametrize("mode", list(BranchMode))
-def test_branch_forward_records_six_nodes(mode):
-    """conv and BN-with-ReLU per layer, then pooling and the head; an
-    untracked forward of an untracked input records none."""
-    model = _model()
-    x = np.random.default_rng(4).uniform(size=(4, 3, 8, 8))
-    _, logits = model.forward(x, mode)
-    assert len(model.bn) == 2 and _recorded_nodes(logits) == 6
-    with untracked(model.params):
-        _, logits = model.forward(x, mode)
-    assert _recorded_nodes(logits) == 0
-
-
 @pytest.mark.parametrize("mode", list(BranchMode))
 def test_conv_outputs_are_channels_last_and_input_grads_keep_layout(mode):
     model = _model(dtype="float32")
@@ -327,7 +302,7 @@ def test_conv_outputs_are_channels_last_and_input_grads_keep_layout(mode):
     _, logits = model.forward(x, mode, update_running=False, capture=capture)
     softmax_cross_entropy(logits, rng.integers(0, 3, size=5)).backward()
     for i, width in enumerate(model.config.widths, start=1):
-        pre = capture[f"bn{i}.pre"].data
+        pre = capture[f"bn{i}.pre"]
         assert pre.shape[:2] == (5, width)  # NCHW in shape
         assert pre.strides[1] == pre.itemsize  # channels innermost in memory
         # each conv's input gradient has its input's memory order

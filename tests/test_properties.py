@@ -27,7 +27,7 @@ from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
 from twins_lab.tensor import (ParamStore, Tensor, _channel_sum,
                               _conv2d_forward, backprop, batch_norm,
-                              batch_norm_fixed, conv2d, conv2d_weight_grad,
+                              conv2d, conv2d_weight_grad,
                               feature_distance, finite_diff_grad,
                               global_avg_pool, linear)
 
@@ -130,62 +130,77 @@ def test_conv2d_weight_grad_with_and_without_cols_bitwise(case, grad_layout):
 
 
 @st.composite
-def bn_cases(draw):
-    layout = draw(st.sampled_from(LAYOUTS))
-    c = 1 if layout == "one-channel" else draw(st.integers(2, 4))
-    return {"n": draw(st.integers(2, 3)), "c": c,
-            "h": draw(st.integers(1, 3)), "w": draw(st.integers(1, 3)),
-            "layout": layout, "mode": draw(st.sampled_from(list(BranchMode))),
-            "seed": draw(st.integers(0, 2**16))}
+def layer_cases(draw):
+    """A conv case with a batch of 2 or 3 and a branch mode."""
+    case = draw(conv_cases())
+    case.update(n=draw(st.integers(2, 3)),
+                mode=draw(st.sampled_from(list(BranchMode))))
+    return case
 
 
 @PROFILE
-@given(bn_cases())
+@given(layer_cases())
 def test_bn_matches_reference_and_finite_diff(case):
+    """A conv, BN and ReLU layer, recorded as one node, against the loop
+    convolution and the per-channel formulas."""
     rng = np.random.default_rng(case["seed"])
-    c, mode = case["c"], case["mode"]
+    o, mode = case["o"], case["mode"]
     ps = ParamStore()
-    state = BNLayerState(c, ps, "bn", np.float64, eps=1e-3)
+    state = BNLayerState(o, ps, "bn", np.float64, eps=1e-3)
     for t in (state.gamma_a, state.gamma_f):
-        t.data = rng.uniform(0.5, 2.0, size=c)
+        t.data = rng.uniform(0.5, 2.0, size=o)
     for t in (state.beta_a, state.beta_f):
-        t.data = rng.normal(size=c)
-    state.running_mean, state.frozen_mean = rng.normal(size=(2, c))
-    state.running_var, state.frozen_var = rng.uniform(0.5, 2.0, size=(2, c))
+        t.data = rng.normal(size=o)
+    state.running_mean, state.frozen_mean = rng.normal(size=(2, o))
+    state.running_var, state.frozen_var = rng.uniform(0.5, 2.0, size=(2, o))
     x = ps.add("x", _in_layout(rng.normal(
-        1.0, 2.0, size=(case["n"], c, case["h"], case["w"])), case["layout"]))
+        1.0, 2.0, size=(case["n"], case["c"], case["h"], case["w"])),
+        case["layout"]))
+    k = ps.add("k", rng.normal(size=(o, case["c"], case["kh"], case["kw"])))
     branch = "f" if mode is BranchMode.FROZEN_TRAIN else "a"
     gamma, beta = ps[f"bn.gamma_{branch}"], ps[f"bn.beta_{branch}"]
+    stats = {BranchMode.ADAPTIVE_TRAIN: None,
+             BranchMode.FROZEN_TRAIN: (state.frozen_mean, state.frozen_var),
+             BranchMode.INFERENCE: (state.running_mean, state.running_var)
+             }[mode]
 
-    y, stats = bn_forward(x, state, mode)
-    if mode is BranchMode.ADAPTIVE_TRAIN:
-        mean, var = x.data.mean(axis=(0, 2, 3)), x.data.var(axis=(0, 2, 3))
-        assert np.allclose(stats[0], mean, rtol=1e-12, atol=1e-12)
-        assert np.allclose(stats[1], var, rtol=1e-12, atol=1e-12)
-    elif mode is BranchMode.FROZEN_TRAIN:
-        mean, var = state.frozen_mean, state.frozen_var
-    else:
-        mean, var = state.running_mean, state.running_var
-    shape = (1, c, 1, 1)
-    ref = np.maximum((x.data - mean.reshape(shape))
+    def layer():
+        pre = conv2d(x, k, case["stride"], case["pad"])
+        return batch_norm(pre, gamma, beta, 1e-3, stats, fold=True)
+
+    y, mean, var = layer()
+    assert y._prev == (x, k, gamma, beta)
+    pre = _conv_reference(x.data, k.data, case["stride"], case["pad"])
+    if stats is None:
+        assert np.allclose(mean, pre.mean(axis=(0, 2, 3)), rtol=1e-12,
+                           atol=1e-12)
+        assert np.allclose(var, pre.var(axis=(0, 2, 3)), rtol=1e-12,
+                           atol=1e-12)
+    shape = (1, o, 1, 1)
+    ref = np.maximum((pre - mean.reshape(shape))
                      / np.sqrt(var + 1e-3).reshape(shape)
                      * gamma.data.reshape(shape) + beta.data.reshape(shape),
                      0.0)
-    assert y.shape == x.shape
+    assert y.shape == pre.shape
     assert np.allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+    assert _is_channels_last(y.data)
 
-    weights = rng.normal(size=x.shape)
+    weights = rng.normal(size=y.shape)
 
     def loss():
-        return (bn_forward(x, state, mode)[0] * weights).sum()
+        return (layer()[0] * weights).sum()
 
-    names = ["x", f"bn.gamma_{branch}", f"bn.beta_{branch}"]
+    names = ["x", "k", f"bn.gamma_{branch}", f"bn.beta_{branch}"]
     grads = backprop(loss(), ps, names)
+    # the input gradient comes back in the input's memory order
+    assert _memory_order(x.grad) == _memory_order(x.data)
     # the ReLU's mask: beta's gradient sums the weights where y > 0
-    assert np.allclose(grads[names[2]],
+    assert np.allclose(grads[names[3]],
                        (weights * (ref > 0)).sum(axis=(0, 2, 3)),
                        rtol=1e-12, atol=1e-12)
-    fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6, names=names)
+    # a step of 1e-5: at 1e-6 the central difference's rounding error
+    # through a conv and BN reaches 1.7e-8, above atol
+    fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-5, names=names)
     for name in names:
         assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8)
 
@@ -264,11 +279,7 @@ def test_bn_rows_match_broadcast_formulas_bitwise(case):
         stats = (rng.normal(size=c).astype(dt),
                  rng.uniform(0.5, 2.0, size=c).astype(dt))
     leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-    if stats is None:
-        y, mean, var = batch_norm(*leaves, 1e-3)
-    else:
-        y = batch_norm_fixed(leaves[0], *stats, *leaves[1:], 1e-3)
-        mean, var = stats
+    y, mean, var = batch_norm(*leaves, 1e-3, stats)
     # the node's own backward on the adjoint `dy`, in dy's memory layout
     y._backward(dy)
     ref = _broadcast_bn(x, gamma, beta, 1e-3, dy, stats)

@@ -1,6 +1,7 @@
 """Each training and attack step frees its autodiff graph before the next
 step builds one, so a loop of steps peaks at about one step's memory; a
-prediction builds no graph at all."""
+prediction builds no graph at all. A conv, BN and ReLU layer is one graph
+node, so an attack step's graph keeps no pre-BN array or its adjoint."""
 
 import gc
 import tracemalloc
@@ -11,12 +12,18 @@ import pytest
 from twins_lab import attack
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig, predict
-from twins_lab.tensor import backprop
+from twins_lab.tensor import backprop, untracked
 from twins_lab.training import TrainConfig, batch_loss, run_training
 
 # a loop that keeps one step's graph while it builds the next reads
 # 1.4-1.7x here; one that frees it first reads 1.04-1.08x
 BOUND = 1.3
+
+# float32 values per image at the peak of one INFERENCE attack step on
+# 128 images: 5,458 with one graph node per layer, 9,619 when each layer
+# was a conv node and a BN node, whose graph kept the pre-BN array and its
+# adjoint; the bound leaves 19% headroom over 5,458
+STEP_VALUES_PER_IMAGE = 6500
 
 
 def _model():
@@ -125,3 +132,45 @@ def test_prediction_records_no_graph(monkeypatch):
     untracked = _peak_bytes(lambda: predict(model, x, BranchMode.INFERENCE))
     full = _peak_bytes(tracked)
     assert untracked < 0.8 * full, (untracked, full)
+
+
+def _recorded_nodes(root):
+    """The graph nodes below `root` that an op recorded (leaves excluded)."""
+    count, stack, seen = 0, [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._prev:
+            seen.add(id(node))
+            count += 1
+            stack.extend(node._prev)
+    return count
+
+
+@pytest.mark.parametrize("mode", list(BranchMode))
+def test_branch_forward_records_four_nodes(mode):
+    """One node per conv, BN and ReLU layer, then pooling and the head; an
+    untracked forward of an untracked input records none."""
+    model = _model()
+    x, _ = _data(4)
+    _, logits = model.forward(x, mode)
+    assert len(model.bn) == 2 and _recorded_nodes(logits) == 4
+    with untracked(model.params):
+        _, logits = model.forward(x, mode)
+    assert _recorded_nodes(logits) == 0
+
+
+def test_inference_attack_step_peaks_under_a_per_image_bound():
+    """One signed-gradient step on 128 images, the size of each half of
+    an evaluation batch's attack."""
+    model = _model()
+    x, y = _data(128)
+    cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=1)
+
+    def step():
+        with untracked(model.params):
+            attack._ascent_sign(model, BranchMode.INFERENCE, x, y, None,
+                                cfg, "target")
+
+    step()  # warm-up, so that first-call allocations are not counted
+    per_image = _peak_bytes(step) / x.itemsize / len(x)
+    assert per_image < STEP_VALUES_PER_IMAGE, per_image

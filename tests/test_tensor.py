@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twins_lab.tensor import (ParamStore, ShapeError, Tensor, _conv2d_forward,
-                              _im2col, backprop, batch_norm, batch_norm_fixed,
+                              _im2col, backprop, batch_norm,
                               conv2d, conv2d_weight_grad, finite_diff_grad,
                               global_avg_pool, kl_div_logits, linear,
                               softmax_cross_entropy, untracked)
@@ -126,9 +126,8 @@ def _identity_bn(x):
     """Fixed-statistics BN whose affine is exactly the identity, so its
     output is the ReLU of `x`."""
     c, dt = x.shape[1], x.dtype
-    return batch_norm_fixed(x, np.zeros(c, dt), np.ones(c, dt),
-                            Tensor(np.ones(c, dt)), Tensor(np.zeros(c, dt)),
-                            0.0)
+    return batch_norm(x, Tensor(np.ones(c, dt)), Tensor(np.zeros(c, dt)), 0.0,
+                      (np.zeros(c, dt), np.ones(c, dt)))[0]
 
 
 def test_relu_forward_matches_masked_select():
@@ -247,7 +246,7 @@ def test_backprop_dead_relu():
     gamma = ps.add("gamma", np.array([1.0]))
     beta = ps.add("beta", np.array([-1.0]))
     x = Tensor(np.zeros((2, 1, 2, 2)), requires_grad=True)
-    y = batch_norm_fixed(x, np.zeros(1), np.ones(1), gamma, beta, 0.0)
+    y, _, _ = batch_norm(x, gamma, beta, 0.0, (np.zeros(1), np.ones(1)))
     assert np.array_equal(y.data, np.zeros((2, 1, 2, 2)))
     grads = backprop(y.sum(), ps)
     assert np.array_equal(grads["gamma"], [0.0])
@@ -402,24 +401,30 @@ def _param_node_cases(rng):
     """(op, input, parameter arrays, whether the node then keeps only its
     output) for each op that takes parameters; the input is channels-last,
     like the activations the ops receive. Adaptive BN keeps x-hat, which
-    its input gradient reads."""
+    its input gradient reads. The last op is a conv, BN and ReLU layer."""
     x4 = np.ascontiguousarray(rng.normal(size=(8, 5, 6, 4))).transpose(
         0, 3, 1, 2)
     c = x4.shape[1]
     mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
-    return [
+    cases = [
         (lambda x, k: conv2d(x, k, stride=2, pad=1), x4,
          [rng.normal(size=(6, c, 3, 3))], True),
-        (lambda x, g, b: batch_norm_fixed(x, mean, var, g, b, 1e-5), x4,
+        (lambda x, g, b: batch_norm(x, g, b, 1e-5, (mean, var))[0], x4,
          [rng.uniform(0.5, 2.0, size=c), rng.normal(size=c)], True),
         (lambda x, g, b: batch_norm(x, g, b, 1e-5)[0], x4,
          [rng.uniform(0.5, 2.0, size=c), rng.normal(size=c)], False),
         (linear, rng.normal(size=(8, 12)),
          [rng.normal(size=(12, 3)), rng.normal(size=3)], True),
     ]
+    stats = rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)
+    cases.append(
+        (lambda x, k, g, b: batch_norm(conv2d(x, k, stride=2, pad=1), g, b,
+                                       1e-5, stats, fold=True)[0], x4, [rng.normal(size=(6, c, 3, 3)), rng.uniform(0.5, 2.0, size=6),
+              rng.normal(size=6)], True))
+    return cases
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_untracked_parameters_are_neither_written_nor_kept(case):
     op, x, arrays, output_only = _param_node_cases(
         np.random.default_rng(20))[case]

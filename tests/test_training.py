@@ -277,7 +277,7 @@ def _hand_warmup(model, x, m):
     model.forward(adv, BranchMode.FROZEN_TRAIN, head="source",
                   update_running=False, capture=capture)
     for i, state in enumerate(model.bn, start=1):
-        pre = capture[f"bn{i}.pre"].data
+        pre = capture[f"bn{i}.pre"]
         expected.append(((1 - m) * state.frozen_mean
                          + m * pre.mean(axis=(0, 2, 3)),
                          (1 - m) * state.frozen_var
@@ -337,12 +337,13 @@ def _tiny_model(seed=0, classes=2):
     return MiniCNN(cfg, rng=np.random.default_rng(seed))
 
 
-def test_run_training_zero_epochs_yields_empty_history():
-    train, val = _tiny_task()
-    model = _tiny_model()
-    cfg = TrainConfig(method="std", epochs=0, milestones=(), batch=8)
-    _, history = run_training(cfg, train, val, model)
-    assert history == []
+def test_train_config_rejects_out_of_range_counts():
+    """A run trains at least one epoch, and neither the warmup nor the LR
+    decay may be negative; each error names its key."""
+    for key, value in (("epochs", 0), ("epochs", -1), ("warmup_epochs", -2),
+                       ("decay", -1.0)):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(method="std", milestones=(), batch=8, **{key: value})
 
 
 def test_run_training_history_bookkeeping():
