@@ -77,10 +77,10 @@ def _linf_bounds(x_orig, epsilon):
     return np.maximum(x_orig - epsilon, 0.0), np.minimum(x_orig + epsilon, 1.0)
 
 
-def _clamp(x, lo, hi):
+def _clamp(x, lo, hi, out=None):
     # np.clip(x, lo, hi) by definition, at about a third of its cost;
-    # in place, so a step allocates no more than clip does
-    out = np.maximum(x, lo)
+    # into `out` when given, else into one new array, as clip allocates
+    out = np.maximum(x, lo, out=out)
     return np.minimum(out, hi, out=out)
 
 
@@ -169,8 +169,7 @@ def _ascend(model, branch, x, x_adv, y, lo, hi, cfg, head):
         step *= cfg.alpha
         x_adv += step
         del step  # freed before the next step's graph is built
-        np.maximum(x_adv, lo, out=x_adv)
-        np.minimum(x_adv, hi, out=x_adv)
+        _clamp(x_adv, lo, hi, out=x_adv)
     return x_adv
 
 

@@ -112,8 +112,7 @@ def bn_forward(x, state, mode):
     if mode is BranchMode.ADAPTIVE_TRAIN:
         if x.shape[0] < 2:
             raise ValueError("adaptive BN needs a batch of at least 2")
-        y, mean, var = batch_norm(x, state.gamma_a, state.beta_a, state.eps,
-                                  fold=True)
+        y, mean, var = batch_norm(x, state.gamma_a, state.beta_a, state.eps)
         return y, (mean, var)
     if mode is BranchMode.FROZEN_TRAIN:
         stats, gamma, beta = ((state.frozen_mean, state.frozen_var),
@@ -123,7 +122,7 @@ def bn_forward(x, state, mode):
                               state.gamma_a, state.beta_a)
     else:
         raise ValueError(f"unknown branch mode: {mode!r}")
-    return batch_norm(x, gamma, beta, state.eps, stats, fold=True)[0], None
+    return batch_norm(x, gamma, beta, state.eps, stats)[0], None
 
 
 def bn_update_running(state, batch_stats):

@@ -9,7 +9,7 @@ and a ``.grad`` may have any memory order.
 
 The op set is the one the network runs, each a single graph node with a
 closed-form backward: ``conv2d``, batch norm with the ReLU that follows
-it (``batch_norm``, which can fold the conv node that feeds it into
+it (``batch_norm``, which folds the conv node that feeds it into
 itself, so that a conv, BN and ReLU layer is one node),
 ``global_avg_pool``, ``linear`` (the classifier head), the fused
 cross-entropy and KL losses, and ``feature_distance`` (lwf's penalty).
@@ -452,7 +452,7 @@ def _tile(a, w):
     return out.reshape(-1)
 
 
-def batch_norm(x, gamma, beta, eps, stats=None, fold=False):
+def batch_norm(x, gamma, beta, eps, stats=None):
     """ReLU of x normalized per channel and scaled by gamma, plus beta, as
     one graph node; returns (y, mean, var).
 
@@ -462,14 +462,14 @@ def batch_norm(x, gamma, beta, eps, stats=None, fold=False):
     dx = gamma/sigma * (dy - mean(dy) - xhat * mean(dy * xhat)) under
     batch statistics and dx = gamma/sigma * dy under fixed ones.
 
-    With `fold`, x's own node, if x has one, is folded into this node, so
-    that a conv, BN and ReLU layer is one node: its operands become this
-    node's, and its backward runs on dx inside this one. x must feed
+    x's own node, if x has one, is folded into this node, so that a conv,
+    BN and ReLU layer is one node: its operands become this node's, and
+    its backward runs on dx inside this one. x must therefore feed
     nothing else, since it leaves the graph; the graph then keeps neither
     x's array nor its adjoint.
     """
     grad_x = x._tracked()
-    if fold and x._prev:
+    if x._prev:
         operands, sink = x._prev, x._backward
         x._prev, x._backward = (), None
     else:

@@ -166,7 +166,7 @@ def test_bn_matches_reference_and_finite_diff(case):
 
     def layer():
         pre = conv2d(x, k, case["stride"], case["pad"])
-        return batch_norm(pre, gamma, beta, 1e-3, stats, fold=True)
+        return batch_norm(pre, gamma, beta, 1e-3, stats)
 
     y, mean, var = layer()
     assert y._prev == (x, k, gamma, beta)

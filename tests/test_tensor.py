@@ -417,10 +417,12 @@ def _param_node_cases(rng):
          [rng.normal(size=(12, 3)), rng.normal(size=3)], True),
     ]
     stats = rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)
+    k = rng.normal(size=(6, c, 3, 3))
+    gamma, beta = rng.uniform(0.5, 2.0, size=6), rng.normal(size=6)
     cases.append(
         (lambda x, k, g, b: batch_norm(conv2d(x, k, stride=2, pad=1), g, b,
-                                       1e-5, stats, fold=True)[0], x4, [rng.normal(size=(6, c, 3, 3)), rng.uniform(0.5, 2.0, size=6),
-              rng.normal(size=6)], True))
+                                       1e-5, stats)[0], x4,
+         [k, gamma, beta], True))
     return cases
 
 
