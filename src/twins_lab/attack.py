@@ -110,7 +110,6 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
     if cfg.epsilon == 0.0:
         return x.copy()
     with untracked(model.params):
-        x_adv = x.copy()
         if cfg.rand_init:
             if rng is None:
                 rng = np.random.default_rng()
@@ -118,6 +117,8 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
             x_adv = project_linf(
                 x + rng.uniform(-cfg.epsilon, cfg.epsilon,
                                 size=x.shape).astype(x.dtype), x, cfg.epsilon)
+        else:
+            x_adv = x.copy()
         lo, hi = _linf_bounds(x, cfg.epsilon)
         n = len(x)
         if (branch not in _PER_IMAGE_BRANCHES or n < _MIN_SPLIT_BATCH

@@ -204,7 +204,9 @@ def load_idx(images_path, labels_path):
         raise IdxCountMismatchError(
             f"{n} images but {n_labels} labels")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return (images.astype(np.float32) / 255.0), labels
+    x = images.astype(np.float32)
+    x /= 255.0
+    return x, labels
 
 
 def save_idx(images, labels, images_path, labels_path):

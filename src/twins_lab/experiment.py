@@ -129,13 +129,18 @@ class ExperimentConfig:
                             if raw.get("eval_attack") else None)
         if self.pretrain is not None and self.source_data is None:
             raise ConfigError("pretrain stage declared without source_data")
-        self._check_synthetic_data()
+        self._check_data()
 
-    def _check_synthetic_data(self):
-        """Raise ConfigError, naming the key, where a synthetic dataset
-        disagrees with the model: images of another shape, or more target
-        classes than the target head has."""
+    def _check_data(self):
+        """Raise ConfigError, naming the key, where a dataset disagrees with
+        the model: a synthetic one with images of another shape, or a
+        target of any source that declares more classes, its label bound,
+        than the target head has."""
         model = self.model
+        if self.target_data.classes > model.target_classes:
+            raise ConfigError(f"target_data: classes "
+                              f"{self.target_data.classes} exceeds "
+                              f"model.target_classes {model.target_classes}")
         for key, spec in (("target_data", self.target_data),
                           ("source_data", self.source_data)):
             if spec is None or spec.source != "synthetic":
@@ -145,10 +150,6 @@ class ExperimentConfig:
                                   f"{list(spec.image_shape)} differs from "
                                   f"model.input_shape "
                                   f"{list(model.input_shape)}")
-            if key == "target_data" and spec.classes > model.target_classes:
-                raise ConfigError(f"{key}: classes {spec.classes} exceeds "
-                                  f"model.target_classes "
-                                  f"{model.target_classes}")
 
     @classmethod
     def from_file(cls, path):

@@ -36,6 +36,11 @@ gradient. A ``.grad`` is made on first write: the first contribution
 becomes it and later ones are added out of place, so after the pass a
 ``.grad`` is read-only and may share memory with a neighbour's.
 
+A convolution keeps its im2col columns for its kernel gradient only
+until its backward has taken that gradient, so that the input gradient
+computed next may reuse their memory; a second pass over the same graph
+rebuilds them from the input.
+
 Parameters are the only operands whose ``.grad`` outlives a pass. An
 untracked parameter is not in the graph, and its ``.grad`` may be left
 over from an earlier pass. A forward whose parameters do not require
@@ -389,9 +394,13 @@ def conv2d(x, k, stride=1, pad=0):
         cols = None  # only the kernel gradient reads the columns
 
     def bk(dout):
+        nonlocal cols
         if grad_b:
             _accumulate(b, conv2d_weight_grad(a.data, dout, kh, kw, stride,
                                               pad, cols=cols))
+            # the input gradient's buffers may reuse the columns' memory;
+            # a second pass over this graph rebuilds them from the input
+            cols = None
         if grad_a:
             g = dout.transpose(2, 3, 0, 1).reshape(-1, dout.shape[1])
             # frees the adjoint when the caller handed over its only

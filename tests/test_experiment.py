@@ -324,6 +324,22 @@ def _with_source_data(image_shape):
     return edit
 
 
+def _npz_target(classes):
+    """An edit that makes the target an npz archive, written beside the
+    output directory, of 60 images with labels 0..classes-1."""
+    def edit(cfg):
+        rng = np.random.default_rng(0)
+        archive = os.path.join(os.path.dirname(cfg["out_dir"]), "data.npz")
+        np.savez(archive,
+                 x=rng.uniform(size=(60, 3, 8, 8)).astype(np.float32),
+                 y=np.arange(60) % classes)
+        cfg["target_data"] = {"source": "npz", "classes": classes,
+                              "image_shape": [3, 8, 8],
+                              "images_path": archive}
+        return cfg
+    return edit
+
+
 @pytest.mark.parametrize("edit, key", [
     (_set("finetune.epochs", 0), "epochs"),
     (_set("finetune.epochs", -1), "epochs"),
@@ -332,8 +348,10 @@ def _with_source_data(image_shape):
     (_set("target_data.classes", 300), "classes"),
     (_set("target_data.image_shape", [3, 0, 8]), "image_shape"),
     (_with_source_data([1, 8, 8]), "image_shape"),
+    # `classes` bounds a file's labels too
+    (_npz_target(5), "target_data: classes"),
 ], ids=["epochs-0", "epochs-negative", "warmup_epochs", "decay", "classes",
-        "target-image_shape", "source-image_shape"])
+        "target-image_shape", "source-image_shape", "npz-classes"])
 def test_cli_rejects_out_of_range_config_values(tmp_path, capsys,
                                                 monkeypatch, edit, key):
     """Values of the right type that no run can use fail when the config
