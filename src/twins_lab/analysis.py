@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import pgd_attack
+from .attack import EVAL_BATCH, pgd_attack
 from .network import CONV_GEOMETRY, BranchMode, predict
 from .tensor import backprop, conv2d_weight_grad, softmax_cross_entropy
 
@@ -133,8 +133,9 @@ def frozen_grad_formula_check(model, layer, batch):
     return grads[layer], analytic
 
 
-def evaluate(model, data, attack_cfg=None, rng=None, batch=256):
-    """(clean accuracy, robust accuracy) on a labelled dataset.
+def evaluate(model, data, attack_cfg=None, rng=None):
+    """(clean accuracy, robust accuracy) on a labelled dataset, in
+    batches of `EVAL_BATCH` images.
 
     Clean predictions use Inference normalization; the attack, when
     given, targets the branch used at inference. Robust inputs are
@@ -148,9 +149,9 @@ def evaluate(model, data, attack_cfg=None, rng=None, batch=256):
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     robust = 0
-    for start in range(0, n, batch):
-        xb = x_all[start:start + batch]
-        yb = y_all[start:start + batch]
+    for start in range(0, n, EVAL_BATCH):
+        xb = x_all[start:start + EVAL_BATCH]
+        yb = y_all[start:start + EVAL_BATCH]
         hits = int((predict(model, xb, BranchMode.INFERENCE) == yb).sum())
         correct += hits
         if attack_cfg is not None:

@@ -53,6 +53,9 @@ _PER_IMAGE_BRANCHES = (BranchMode.INFERENCE, BranchMode.FROZEN_TRAIN)
 # (batch 90 took 30% more time split than whole, and batch 48 50% more).
 _MIN_SPLIT_BATCH = 128
 
+# `evaluate`'s batch, whose attacks split into halves of the smallest size
+EVAL_BATCH = 2 * _MIN_SPLIT_BATCH
+
 
 @dataclass
 class AttackConfig:

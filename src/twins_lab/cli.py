@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
-from .checkpoint import load_checkpoint
+from .checkpoint import atomic_open, load_checkpoint
 from .data import load_dataset, load_records, save_idx, val_count
 from .experiment import (ConfigError, ExperimentConfig, joint_source,
                          read_metrics, run_experiment, run_finetune,
@@ -18,10 +18,24 @@ from .experiment import (ConfigError, ExperimentConfig, joint_source,
 
 
 def _load_config(args):
+    """The config at `args.config`, with `--out` and `--method` applied."""
     cfg = ExperimentConfig.from_file(args.config)
     if getattr(args, "out", None):
         cfg.out_dir = args.out
+    if getattr(args, "method", None) is not None:
+        cfg.finetune = dataclasses.replace(cfg.finetune, method=args.method)
     return cfg
+
+
+def _check_input_shape(model, images, checkpoint):
+    """Raise ConfigError unless `images` have the (C, H, W) shape the
+    checkpoint's model was built for; global average pooling would take
+    any size without a word."""
+    shape = tuple(images.shape[1:])
+    if shape != tuple(model.config.input_shape):
+        raise ConfigError(f"target images are {list(shape)}, but checkpoint "
+                          f"{checkpoint} has model.input_shape "
+                          f"{list(model.config.input_shape)}")
 
 
 def _cmd_gen_data(args):
@@ -39,7 +53,9 @@ def _cmd_gen_data(args):
             save_idx(x, y, os.path.join(cfg.out_dir, f"{name}-images.idx"),
                      os.path.join(cfg.out_dir, f"{name}-labels.idx"))
         else:
-            np.savez(os.path.join(cfg.out_dir, f"{name}.npz"), x=x, y=y)
+            with atomic_open(os.path.join(cfg.out_dir, f"{name}.npz"),
+                             "wb") as fh:
+                np.savez(fh, x=x, y=y)
         n_val = val_count(len(y), spec.val_fraction)
         print(f"{name}: {len(y)} samples "
               f"({len(y) - n_val} train / {n_val} val)")
@@ -59,15 +75,15 @@ def _cmd_pretrain(args):
 
 def _cmd_finetune(args):
     cfg = _load_config(args)
-    if args.method:
-        cfg.finetune = dataclasses.replace(cfg.finetune, method=args.method)
+    if args.seed is not None:
+        cfg.seeds = [args.seed]
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)
-    seeds = [args.seed] if args.seed is not None else cfg.seeds
     target = load_dataset(cfg.target_data)
+    _check_input_shape(pretrained, target[0][0], ckpt)
     source = joint_source(cfg)
-    for seed in seeds:
+    for seed in cfg.seeds:
         _, history = run_finetune(cfg, pretrained, seed, target, source,
                                   out_dir=cfg.out_dir,
                                   tag=cfg.finetune.method)
@@ -81,8 +97,8 @@ def _cmd_eval(args):
     model, meta = load_checkpoint(args.checkpoint)
     # the train split is dropped at once, not held through evaluation
     val = load_dataset(cfg.target_data)[1]
-    attack = cfg.eval_attack or cfg.finetune.attack
-    clean, robust = evaluate(model, val, attack,
+    _check_input_shape(model, val[0], args.checkpoint)
+    clean, robust = evaluate(model, val, cfg.eval_attack,
                              rng=np.random.default_rng(args.seed or 0))
     print(json.dumps({"checkpoint": args.checkpoint,
                       "method": meta.get("method"),
@@ -105,9 +121,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_run(args):
-    results = run_experiment(args.config, seed_override=args.seed,
-                             out_override=args.out,
-                             method_override=args.method)
+    cfg = _load_config(args)
+    if args.seed is not None:
+        cfg.seeds = [args.seed]
+    results = run_experiment(cfg)
     print(json.dumps(results, indent=2, sort_keys=True))
     return 0
 
@@ -123,16 +140,15 @@ def build_parser():
         p.set_defaults(fn=fn)
         return p
 
-    for name, fn, needs_cfg in (
-            ("gen-data", _cmd_gen_data, True),
-            ("pretrain", _cmd_pretrain, True),
-            ("finetune", _cmd_finetune, True),
-            ("eval", _cmd_eval, True),
-            ("run", _cmd_run, True)):
+    for name, fn in (("gen-data", _cmd_gen_data), ("pretrain", _cmd_pretrain),
+                     ("finetune", _cmd_finetune), ("eval", _cmd_eval),
+                     ("run", _cmd_run)):
         p = add(name, fn)
         p.add_argument("config", help="experiment config (JSON)")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if name != "eval":
+            p.add_argument("--out", default=None, help="output directory")
+        if name != "gen-data":
+            p.add_argument("--seed", type=int, default=None)
         if name in ("finetune", "run"):
             p.add_argument("--method", default=None,
                            help="override the fine-tuning method")

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -65,6 +67,9 @@ def gen_synthetic_dataset(spec):
         # each class is made in float64 and cast as soon as it is made,
         # which rounds as casting the whole set would, without its copy
         x[k * n:(k + 1) * n] = np.clip(block, 0.0, 1.0, out=block)
+        # freed before the next draw: no two float64 blocks, nor a block
+        # and the final x[order] gather, are alive at once
+        del block
     y = np.repeat(np.arange(spec.classes, dtype=np.int64), n)
     order = rng.permutation(len(y))
     return x[order], y[order]
@@ -210,7 +215,8 @@ def load_idx(images_path, labels_path):
 
 
 def save_idx(images, labels, images_path, labels_path):
-    """Write a dataset in IDX format (single-channel, uint8 pixels)."""
+    """Write a dataset in IDX format (single-channel, uint8 pixels), each
+    file atomically."""
     arr = np.asarray(images)
     if arr.ndim == 4:
         if arr.shape[1] != 1:
@@ -218,9 +224,9 @@ def save_idx(images, labels, images_path, labels_path):
         arr = arr[:, 0]
     pix = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
     n, rows, cols = pix.shape
-    with open(images_path, "wb") as fh:
+    with atomic_open(images_path, "wb") as fh:
         fh.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
         fh.write(pix.tobytes())
-    with open(labels_path, "wb") as fh:
+    with atomic_open(labels_path, "wb") as fh:
         fh.write(struct.pack(">ii", IDX_LABELS_MAGIC, n))
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())

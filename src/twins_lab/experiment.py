@@ -90,8 +90,8 @@ class ExperimentConfig:
     """Validated JSON experiment description.
 
     Top-level keys: out_dir, seeds, model, target_data, source_data
-    (optional), pretrain (optional), finetune, eval_attack (optional).
-    Unknown keys are rejected everywhere.
+    (optional), pretrain (optional), finetune, eval_attack (optional,
+    else the fine-tuning attack). Unknown keys are rejected everywhere.
     """
 
     _TOP_KEYS = {"out_dir", "seeds", "model", "target_data", "source_data",
@@ -126,7 +126,8 @@ class ExperimentConfig:
         self.finetune = parse_train_config(raw["finetune"], "finetune")
         self.eval_attack = (parse_attack_config(raw["eval_attack"],
                                                 "eval_attack")
-                            if raw.get("eval_attack") else None)
+                            if raw.get("eval_attack")
+                            else self.finetune.attack)
         if self.pretrain is not None and self.source_data is None:
             raise ConfigError("pretrain stage declared without source_data")
         self._check_data()
@@ -173,15 +174,25 @@ def write_metrics(history, path):
 
 
 def read_metrics(path):
+    """The rows of a metrics CSV as {column: float}. A row without one
+    number per header column raises ValueError naming the file and
+    line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().split("\n")
     if lines[0] != METRICS_HEADER:
-        raise ValueError("unexpected metrics header")
+        raise ValueError(f"{path}: unexpected metrics header")
     cols = METRICS_HEADER.split(",")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         values = line.split(",")
-        rows.append({c: float(v) for c, v in zip(cols, values)})
+        where = f"{path}, line {number}"
+        if len(values) != len(cols):
+            raise ValueError(f"{where}: {len(values)} fields, but the "
+                             f"header has {len(cols)}")
+        try:
+            rows.append({c: float(v) for c, v in zip(cols, values)})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return rows
 
 
@@ -257,19 +268,11 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
     return model, history
 
 
-def run_experiment(config_path, seed_override=None, out_override=None,
-                   method_override=None):
-    """Full pipeline: optional pre-training, then per-seed warmup,
-    fine-tuning and evaluation. Artifacts land in the output directory.
-    An empty target validation split fails before pre-training."""
-    cfg = ExperimentConfig.from_file(config_path)
-    if out_override:
-        cfg.out_dir = out_override
-    if seed_override is not None:
-        cfg.seeds = [seed_override]
-    if method_override is not None:
-        cfg.finetune = dataclasses.replace(cfg.finetune,
-                                           method=method_override)
+def run_experiment(cfg):
+    """Full pipeline of the ExperimentConfig `cfg`: optional pre-training,
+    then per-seed warmup, fine-tuning and evaluation. Artifacts land in
+    `cfg.out_dir`. An empty target validation split fails before
+    pre-training."""
     require_val_split(val_split_size(cfg.target_data))
     os.makedirs(cfg.out_dir, exist_ok=True)
     source = joint_source(cfg)
@@ -285,8 +288,7 @@ def run_experiment(config_path, seed_override=None, out_override=None,
     for seed in cfg.seeds:
         model, history = run_finetune(cfg, pretrained, seed, target, source,
                                       out_dir=cfg.out_dir)
-        attack = cfg.eval_attack or cfg.finetune.attack
-        clean, robust = evaluate(model, target[1], attack,
+        clean, robust = evaluate(model, target[1], cfg.eval_attack,
                                  rng=np.random.default_rng(seed + 104729))
         results[seed] = {"clean_acc": clean, "pgd_acc": robust}
     with atomic_open(os.path.join(cfg.out_dir, "summary.json"), "w",

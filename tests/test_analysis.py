@@ -4,6 +4,7 @@ import pytest
 from twins_lab.analysis import (evaluate, frozen_grad_formula_check,
                                 grad_norm_epoch_stats, overfitting_gap,
                                 scale_probe, weight_distance)
+from twins_lab import analysis
 from twins_lab import attack as attack_module
 from twins_lab import network
 from twins_lab.attack import AttackConfig
@@ -215,13 +216,14 @@ def test_evaluate_forwards_per_batch_with_split_attacks(monkeypatch, attack,
 
 
 def _check_forwards_per_batch(monkeypatch, attack, per_batch):
+    monkeypatch.setattr(analysis, "EVAL_BATCH", 16)
     x, y = _batch(seed=10, n=40)
     reference = evaluate(_model(seed=11), (x, y), attack,
-                         rng=np.random.default_rng(2), batch=16)
+                         rng=np.random.default_rng(2))
     model = _model(seed=11)
     forwarded = _count_forwarded_images(monkeypatch, model)
     clean, robust = evaluate(model, (x, y), attack,
-                             rng=np.random.default_rng(2), batch=16)
+                             rng=np.random.default_rng(2))
     # each of the 40 images passes per_batch times, however a batch's
     # attack steps are split
     assert forwarded() == {network.BranchMode.INFERENCE: per_batch * len(y)}

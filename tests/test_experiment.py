@@ -132,7 +132,7 @@ def test_config_missing_idx_file_rejected(tmp_path):
 def test_run_experiment_produces_artifacts(tmp_path):
     out = str(tmp_path / "out")
     path = _write_config(tmp_path, _base_config(out))
-    results = run_experiment(path)
+    results = run_experiment(ExperimentConfig.from_file(path))
     assert set(results) == {0}
     assert 0.0 <= results[0]["clean_acc"] <= 1.0
     assert os.path.exists(os.path.join(out, "summary.json"))
@@ -145,7 +145,9 @@ def test_run_experiment_is_deterministic(tmp_path):
     cfg = _base_config("ignored")
     path = _write_config(tmp_path, cfg)
     for sub in ("a", "b"):
-        run_experiment(path, out_override=str(tmp_path / sub))
+        cfg = ExperimentConfig.from_file(path)
+        cfg.out_dir = str(tmp_path / sub)
+        run_experiment(cfg)
     with open(tmp_path / "a" / "metrics_seed0.csv", "rb") as fh:
         a = fh.read()
     with open(tmp_path / "b" / "metrics_seed0.csv", "rb") as fh:
@@ -161,6 +163,71 @@ def test_cli_run_and_analyze(tmp_path, capsys):
     assert main(["analyze", metrics]) == 0
     captured = capsys.readouterr()
     assert "gap=" in captured.out
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("0,0.1,1.0", "3 fields, but the header has 8"),
+    ("0,0.1,1.0,0.5,0.4,2.0,0.1,0.0,7", "9 fields, but the header has 8"),
+    ("0,0.1,1.0,0.5,high,2.0,0.1,0.0", "could not convert"),
+], ids=["short", "long", "not-a-number"])
+def test_cli_analyze_names_the_malformed_row(tmp_path, capsys, row, problem):
+    path = str(tmp_path / "m.csv")
+    write_metrics(_records(2), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    assert main(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}, line 4: {problem}")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_run_flags_equal_the_config_edits(tmp_path):
+    cfg = _base_config(str(tmp_path / "unused"))
+    cfg["seeds"] = [0, 1]
+    path = _write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "flags"),
+                 "--seed", "3", "--method", "at"]) == 0
+    cfg.update(out_dir=str(tmp_path / "edited"), seeds=[3])
+    cfg["finetune"]["method"] = "at"
+    assert main(["run", _write_config(tmp_path, cfg, "edited.json")]) == 0
+    flags = _artifacts(tmp_path / "flags")
+    assert sorted(flags) == ["finetuned_seed3.ckpt", "metrics_seed3.csv",
+                             "summary.json"]
+    assert flags == _artifacts(tmp_path / "edited")
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "cfg.json", "--seed", "1"],
+    ["eval", "cfg.json", "--checkpoint", "model.ckpt", "--out", "d"]])
+def test_cli_refuses_a_flag_the_command_ignores(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_cli_rejects_a_checkpoint_of_another_input_shape(tmp_path, capsys,
+                                                         monkeypatch,
+                                                         command):
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    monkeypatch.setattr(cli, "evaluate", _no_training)
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, MiniCNN(ExperimentConfig(cfg).model))  # 3x8x8
+    cfg["model"]["input_shape"] = [3, 16, 16]
+    cfg["target_data"]["image_shape"] = [3, 16, 16]
+    cfg["finetune"]["warmup_epochs"] = 1
+    path = _write_config(tmp_path, cfg)
+    assert main([command, path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target images are [3, 16, 16], but "
+                          f"checkpoint {ckpt} has model.input_shape "
+                          "[3, 8, 8]")
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_cli_eval_on_checkpoint(tmp_path, capsys):
@@ -180,6 +247,19 @@ def test_cli_gen_data(tmp_path):
     path = _write_config(tmp_path, _base_config(out))
     assert main(["gen-data", path]) == 0
     assert os.path.exists(os.path.join(out, "target.npz"))
+
+
+def test_failed_gen_data_leaves_no_partial_idx_file(tmp_path, capsys,
+                                                    disk_full):
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["target_data"]["image_shape"] = [1, 8, 8]
+    cfg["model"]["input_shape"] = [1, 8, 8]
+    path = _write_config(tmp_path, cfg)
+    disk_full("target-images.idx")
+    assert main(["gen-data", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -441,12 +521,12 @@ def test_failed_metrics_write_keeps_previous_file(tmp_path, disk_full):
 def test_failed_summary_write_keeps_previous_file(tmp_path, disk_full):
     out = tmp_path / "out"
     path = _write_config(tmp_path, _base_config(str(out)))
-    run_experiment(path)
+    run_experiment(ExperimentConfig.from_file(path))
     with open(out / "summary.json", "rb") as fh:
         before = fh.read()
     disk_full("summary.json")
     with pytest.raises(OSError):
-        run_experiment(path)
+        run_experiment(ExperimentConfig.from_file(path))
     with open(out / "summary.json", "rb") as fh:
         assert fh.read() == before
     assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
