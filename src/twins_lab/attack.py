@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import BranchMode
+from .schema import check, choice, flag, integer, number
 from .tensor import Tensor, kl_div_logits, softmax_cross_entropy, untracked
 
 # the branches that normalize with fixed statistics
@@ -59,19 +60,13 @@ EVAL_BATCH = 2 * _MIN_SPLIT_BATCH
 
 @dataclass
 class AttackConfig:
-    epsilon: float = 8.0 / 255.0
-    alpha: float = 2.0 / 255.0
-    steps: int = 10
-    rand_init: bool = True
-    loss_kind: str = "ce"  # "ce" or "kl_to_clean"
+    epsilon: float = number(8.0 / 255.0, high=1, closed=True)
+    alpha: float = number(2.0 / 255.0)
+    steps: int = integer(10, least=0)
+    rand_init: bool = flag(True)
+    loss_kind: str = choice("ce", ("ce", "kl_to_clean"))
 
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.alpha < 0 or self.steps < 0:
-            raise ValueError("alpha and steps must be non-negative")
-        if self.loss_kind not in ("ce", "kl_to_clean"):
-            raise ValueError(f"unknown attack loss kind: {self.loss_kind!r}")
+    __post_init__ = check
 
 
 def _linf_bounds(x_orig, epsilon):

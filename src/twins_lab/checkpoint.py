@@ -16,7 +16,8 @@ import struct
 
 import numpy as np
 
-from .network import MiniCNN, ModelConfig, _is_int
+from .network import MiniCNN, ModelConfig
+from .schema import is_int
 
 MAGIC = b"TWINSCKP"
 VERSION = 1
@@ -113,8 +114,8 @@ def load_tensors(path):
                 f"malformed tensor record in checkpoint header: {rec!r}"
             ) from exc
         if not (isinstance(name, str) and isinstance(dtype, str)
-                and isinstance(shape, list) and all(map(_is_int, shape))
-                and _is_int(start) and _is_int(length)):
+                and isinstance(shape, list) and all(map(is_int, shape))
+                and is_int(start) and is_int(length)):
             raise CheckpointError(
                 f"tensor record has a field of the wrong type: {rec!r}")
         if dtype not in _DTYPES:

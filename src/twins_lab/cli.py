@@ -13,8 +13,8 @@ from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import atomic_open, load_checkpoint
 from .data import load_dataset, load_records, save_idx, val_count
 from .experiment import (ConfigError, ExperimentConfig, joint_source,
-                         read_metrics, run_experiment, run_finetune,
-                         run_pretrain)
+                         read_metrics, require_full_batch, run_experiment,
+                         run_finetune, run_pretrain)
 
 
 def _load_config(args):
@@ -66,6 +66,7 @@ def _cmd_pretrain(args):
     cfg = _load_config(args)
     if args.seed is not None:
         cfg.pretrain = dataclasses.replace(cfg.pretrain, seed=args.seed)
+    require_full_batch(cfg, "pretrain")
     os.makedirs(cfg.out_dir, exist_ok=True)
     _, history = run_pretrain(cfg, out_dir=cfg.out_dir)
     print(f"pre-training done: final clean acc {history[-1].clean_acc:.3f}, "
@@ -77,6 +78,7 @@ def _cmd_finetune(args):
     cfg = _load_config(args)
     if args.seed is not None:
         cfg.seeds = [args.seed]
+    require_full_batch(cfg, "finetune")
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)

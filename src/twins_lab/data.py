@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_open
+from .schema import check, choice, integer, integers, number, text
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -31,23 +32,20 @@ class NpzFormatError(ValueError):
 
 @dataclass
 class DatasetSpec:
-    source: str = "synthetic"  # "synthetic", "idx-files" or "npz"
-    classes: int = 2
-    image_shape: tuple = (3, 16, 16)
-    per_class: int = 100
-    noise_std: float = 0.2
-    seed: int = 0
-    val_fraction: float = 0.25
-    images_path: str = ""  # the archive for "npz"
-    labels_path: str = ""
+    source: str = choice("synthetic", ("synthetic", "idx-files", "npz"))
+    classes: int = integer(2, least=1)
+    image_shape: tuple = integers((3, 16, 16), least=1, length=3)
+    per_class: int = integer(100, least=1)
+    noise_std: float = number(0.2)
+    seed: int = integer(0, least=0)
+    val_fraction: float = number(0.25, high=1)
+    images_path: str = text("")  # the archive for "npz"
+    labels_path: str = text("")
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "idx-files", "npz"):
-            raise ValueError(f"unknown dataset source: {self.source!r}")
+        check(self)
         if self.source == "synthetic" and self.classes < 2:
             raise ValueError("synthetic datasets need at least 2 classes")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in [0, 1)")
 
 
 def gen_synthetic_dataset(spec):
@@ -114,10 +112,10 @@ def load_dataset(spec):
     return split_train_val(x, y, spec.val_fraction, seed=spec.seed)
 
 
-def val_split_size(spec):
-    """How many records `load_dataset(spec)` puts in its validation split,
-    counted from the spec, the IDX label header or the npz archive's `y`
-    without reading any image."""
+def split_sizes(spec):
+    """How many records `load_dataset(spec)` puts in its (train, val)
+    splits, counted from the spec, the IDX label header or the npz
+    archive's `y` without reading any image."""
     if spec.source == "synthetic":
         n = spec.classes * spec.per_class
     elif spec.source == "npz":
@@ -125,7 +123,13 @@ def val_split_size(spec):
     else:
         with open(spec.labels_path, "rb") as fh:
             n = _idx_label_count(fh)
-    return val_count(n, spec.val_fraction)
+    n_val = val_count(n, spec.val_fraction)
+    return n - n_val, n_val
+
+
+def val_split_size(spec):
+    """The validation split's size, as `split_sizes` counts it."""
+    return split_sizes(spec)[1]
 
 
 def _npz_arrays(path, names):

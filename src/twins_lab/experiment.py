@@ -9,9 +9,9 @@ import numpy as np
 from .analysis import evaluate
 from .attack import AttackConfig
 from .checkpoint import atomic_open, save_checkpoint
-from .data import DatasetSpec, load_dataset, val_split_size
-from .network import (MiniCNN, ModelConfig, _is_int, _is_real,
-                      make_finetune_model)
+from .data import DatasetSpec, load_dataset, split_sizes, val_split_size
+from .network import MiniCNN, ModelConfig, make_finetune_model
+from .schema import check, integers, text
 from .training import (TrainConfig, require_val_split, run_training,
                        warmup_bn)
 
@@ -23,59 +23,25 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _int_list(value):
-    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
-
-
-# (kind of a field's default, test of a config value, what the test asks)
-_KINDS = ((bool, lambda v: isinstance(v, bool), "true or false"),
-          (int, _is_int, "an integer"),
-          (float, _is_real, "a number"),
-          (str, lambda v: isinstance(v, str), "a string"),
-          (tuple, _int_list, "a list of integers"))
-
-
-def _check_type(field, value, context):
-    """Raise ConfigError unless `value` has the type of `field`'s default."""
-    for kind, test, wanted in _KINDS:
-        if isinstance(field.default, kind):
-            if not test(value):
-                raise ConfigError(f"{context}: {field.name} must be "
-                                  f"{wanted}, got {value!r}")
-            return
-
-
-def _build(cls, raw, context, converters=None):
+def _build(cls, raw, context):
+    """The config dataclass `cls` of the JSON object `raw`, with nested
+    sections; a bad key or value raises ConfigError prefixed `context`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(converters or {}) - set(fields)
+    sections = {f.name: f.metadata["section"] for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(sections)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if converters and key in converters:
-            kwargs[key] = converters[key](value)
-            continue
-        if cls is not ModelConfig:  # ModelConfig checks its own values
-            _check_type(fields[key], value, context)
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+    kwargs = {key: _build(sections[key], value, f"{context}.{key}")
+              if sections[key] else value for key, value in raw.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def parse_attack_config(raw, context="attack"):
-    return _build(AttackConfig, raw, context)
-
-
 def parse_train_config(raw, context="train"):
-    return _build(TrainConfig, raw, context,
-                  converters={"attack": parse_attack_config})
+    return _build(TrainConfig, raw, context)
 
 
 def parse_dataset_spec(raw, context="dataset"):
@@ -84,6 +50,15 @@ def parse_dataset_spec(raw, context="dataset"):
         if path and not os.path.exists(path):
             raise ConfigError(f"{context}: referenced file {path!r} missing")
     return spec
+
+
+@dataclasses.dataclass
+class _TopLevel:
+    """The config's values outside every section."""
+    out_dir: str = text("")
+    seeds: tuple = integers((0,), least=0, nonempty=True)
+
+    __post_init__ = check
 
 
 class ExperimentConfig:
@@ -106,15 +81,13 @@ class ExperimentConfig:
         for key in ("out_dir", "model", "target_data", "finetune"):
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r}")
-        if not isinstance(raw["out_dir"], str):
-            raise ConfigError(f"out_dir must be a string, got "
-                              f"{raw['out_dir']!r}")
-        seeds = raw.get("seeds", [0])
-        if not (isinstance(seeds, list) and seeds and _int_list(seeds)):
-            raise ConfigError(f"seeds must be a non-empty list of integers, "
-                              f"got {seeds!r}")
-        self.out_dir = raw["out_dir"]
-        self.seeds = list(seeds)
+        try:
+            top = _TopLevel(**{k: raw[k] for k in ("out_dir", "seeds")
+                               if k in raw})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.out_dir = top.out_dir
+        self.seeds = list(top.seeds)
         self.model = _build(ModelConfig, raw["model"], "model")
         self.target_data = parse_dataset_spec(raw["target_data"],
                                               "target_data")
@@ -124,8 +97,8 @@ class ExperimentConfig:
         self.pretrain = (parse_train_config(raw["pretrain"], "pretrain")
                          if raw.get("pretrain") else None)
         self.finetune = parse_train_config(raw["finetune"], "finetune")
-        self.eval_attack = (parse_attack_config(raw["eval_attack"],
-                                                "eval_attack")
+        self.eval_attack = (_build(AttackConfig, raw["eval_attack"],
+                                   "eval_attack")
                             if raw.get("eval_attack")
                             else self.finetune.attack)
         if self.pretrain is not None and self.source_data is None:
@@ -158,6 +131,22 @@ class ExperimentConfig:
             return cls(json.load(fh))
 
 
+def require_full_batch(cfg, *stages):
+    """Raise ConfigError, naming the key, where a stage of `cfg`
+    ("pretrain" or "finetune") has a batch larger than the train split of
+    its data (source_data or target_data): a partial batch is dropped, so
+    the stage would train no step."""
+    for stage, key in (("pretrain", "source_data"),
+                       ("finetune", "target_data")):
+        train, spec = getattr(cfg, stage), getattr(cfg, key)
+        if stage not in stages or train is None or spec is None:
+            continue
+        n_train = split_sizes(spec)[0]
+        if train.batch > n_train:
+            raise ConfigError(f"{stage}: batch {train.batch} exceeds the "
+                              f"{n_train} images of {key}'s train split")
+
+
 def write_metrics(history, path):
     """CSV with the fixed metrics header, one row per epoch."""
     if len(history) == 0:
@@ -174,13 +163,15 @@ def write_metrics(history, path):
 
 
 def read_metrics(path):
-    """The rows of a metrics CSV as {column: float}. A row without one
-    number per header column raises ValueError naming the file and
-    line."""
+    """The rows of a metrics CSV as {column: float}. A file without rows,
+    or a row without one number per header column, raises ValueError
+    naming the file (and the line)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().split("\n")
     if lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: unexpected metrics header")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no metrics rows below the header")
     cols = METRICS_HEADER.split(",")
     rows = []
     for number, line in enumerate(lines[1:], start=2):
@@ -272,8 +263,9 @@ def run_experiment(cfg):
     """Full pipeline of the ExperimentConfig `cfg`: optional pre-training,
     then per-seed warmup, fine-tuning and evaluation. Artifacts land in
     `cfg.out_dir`. An empty target validation split fails before
-    pre-training."""
+    pre-training, and so does a batch larger than its train split."""
     require_val_split(val_split_size(cfg.target_data))
+    require_full_batch(cfg, "pretrain", "finetune")
     os.makedirs(cfg.out_dir, exist_ok=True)
     source = joint_source(cfg)
     if cfg.pretrain is not None:

@@ -7,13 +7,12 @@ with fixed population statistics captured before fine-tuning. Inference
 always goes through the Adaptive branch's running statistics.
 """
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral, Real
 
 import numpy as np
 
+from .schema import check, choice, integer, integers, number
 from .tensor import (ParamStore, Tensor, batch_norm, conv2d, global_avg_pool,
                      linear, untracked)
 
@@ -32,50 +31,19 @@ class BranchMode(Enum):
 
 @dataclass
 class ModelConfig:
-    input_shape: tuple = (3, 16, 16)
-    widths: tuple = (16, 32)
-    target_classes: int = 2
-    source_classes: int = 0
-    dtype: str = "float32"
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
+    input_shape: tuple = integers((3, 16, 16), least=1, length=3)
+    widths: tuple = integers((16, 32), least=1, nonempty=True)
+    target_classes: int = integer(2, least=1)
+    source_classes: int = integer(0, least=0)
+    dtype: str = choice("float32", ("float32", "float64"))
+    # bn_eps 0 is allowed: it makes BN exactly scale-invariant
+    bn_eps: float = number(1e-5)
+    bn_momentum: float = number(0.1, high=1, closed=True)
 
-    def __post_init__(self):
-        for name, length in (("input_shape", 3), ("widths", None)):
-            value = getattr(self, name)
-            if not (isinstance(value, (list, tuple)) and value
-                    and (length is None or len(value) == length)
-                    and all(_is_int(v) and v > 0 for v in value)):
-                size = f"{length}" if length else "a non-empty list of"
-                raise ValueError(f"model {name} must be {size} positive "
-                                 f"integers, got {value!r}")
-            setattr(self, name, tuple(int(v) for v in value))
-        for name, least in (("target_classes", 1), ("source_classes", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= least):
-                raise ValueError(f"model {name} must be an integer >= "
-                                 f"{least}, got {value!r}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"model dtype must be \"float32\" or "
-                             f"\"float64\", got {self.dtype!r}")
-        # bn_eps 0 is allowed: it makes BN exactly scale-invariant
-        if not (_is_real(self.bn_eps) and 0 <= self.bn_eps < math.inf):
-            raise ValueError(f"model bn_eps must be a finite number >= 0, "
-                             f"got {self.bn_eps!r}")
-        if not (_is_real(self.bn_momentum) and 0 <= self.bn_momentum <= 1):
-            raise ValueError(f"model bn_momentum must lie in [0, 1], "
-                             f"got {self.bn_momentum!r}")
+    __post_init__ = check
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-
-def _is_int(value):
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class BNLayerState:

@@ -5,12 +5,13 @@ Sub-batch terms are per-sub-batch means so the twins penalty weight is
 batch-size independent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attack import AttackConfig, pgd_attack
 from .network import BranchMode, copy_model, predict
+from .schema import check, choice, integer, integers, number, section
 from .tensor import (backprop, feature_distance, kl_div_logits,
                      softmax_cross_entropy, untracked)
 
@@ -19,36 +20,26 @@ METHODS = ("std", "at", "trades", "twins-at", "twins-trades", "lwf", "joint")
 
 @dataclass
 class TrainConfig:
-    method: str = "at"
-    eta: float = 3e-3
-    lambda_wd: float = 1e-4
-    momentum: float = 0.9
-    lambda_twins: float = 0.3
-    lambda_lwf: float = 0.01
-    lambda_uot: float = 0.01
-    beta: float = 6.0
-    batch: int = 64
-    epochs: int = 20
-    milestones: tuple = (10, 16)
-    decay: float = 0.1
-    seed: int = 0
-    attack: AttackConfig = field(default_factory=AttackConfig)
-    warmup_epochs: int = 0
+    method: str = choice("at", METHODS)
+    eta: float = number(3e-3)
+    lambda_wd: float = number(1e-4)
+    momentum: float = number(0.9)
+    lambda_twins: float = number(0.3)
+    lambda_lwf: float = number(0.01)
+    lambda_uot: float = number(0.01)
+    beta: float = number(6.0)
+    batch: int = integer(64, least=1)
+    epochs: int = integer(20, least=1)
+    milestones: tuple = integers((10, 16))
+    decay: float = number(0.1)
+    seed: int = integer(0, least=0)
+    attack: AttackConfig = section(AttackConfig)
+    warmup_epochs: int = integer(0, least=0)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown training method: {self.method!r}")
-        for name in ("batch", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got "
-                                 f"{getattr(self, name)}")
+        check(self)
         if self.method.startswith("twins") and self.batch % 2 != 0:
             raise ValueError("twins methods need an even batch size")
-        for name in ("eta", "lambda_wd", "momentum", "lambda_twins",
-                     "lambda_lwf", "lambda_uot", "beta", "decay",
-                     "warmup_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 class DivergenceError(ValueError):
@@ -226,8 +217,6 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
     """
     from .analysis import evaluate, grad_norm_epoch_stats, weight_distance
 
-    if cfg.method not in METHODS:
-        raise ValueError(f"unknown training method: {cfg.method!r}")
     require_val_split(len(val_data[1]))
     x_train, y_train = train_data
     rng = np.random.default_rng(cfg.seed)

@@ -181,6 +181,17 @@ def test_cli_analyze_names_the_malformed_row(tmp_path, capsys, row, problem):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_cli_analyze_names_a_file_without_rows(tmp_path, capsys):
+    good, empty = str(tmp_path / "good.csv"), str(tmp_path / "empty.csv")
+    write_metrics(_records(2), good)
+    with open(empty, "w", encoding="utf-8") as fh:
+        fh.write(METRICS_HEADER + "\n")
+    assert main(["analyze", good, empty]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {empty}: no metrics rows")
+    assert "Traceback" not in err
+
+
 def test_cli_run_flags_equal_the_config_edits(tmp_path):
     cfg = _base_config(str(tmp_path / "unused"))
     cfg["seeds"] = [0, 1]
@@ -430,8 +441,15 @@ def _npz_target(classes):
     (_with_source_data([1, 8, 8]), "image_shape"),
     # `classes` bounds a file's labels too
     (_npz_target(5), "target_data: classes"),
+    (_set("target_data.per_class", -1), "target_data: per_class"),
+    (_set("target_data.noise_std", -1.0), "target_data: noise_std"),
+    (_set("seeds", [-1]), "seeds"),
+    (_set("finetune.seed", -3), "finetune: seed"),
+    (_set("target_data.seed", -3), "target_data: seed"),
 ], ids=["epochs-0", "epochs-negative", "warmup_epochs", "decay", "classes",
-        "target-image_shape", "source-image_shape", "npz-classes"])
+        "target-image_shape", "source-image_shape", "npz-classes",
+        "per_class", "noise_std", "seeds", "finetune-seed",
+        "target_data-seed"])
 def test_cli_rejects_out_of_range_config_values(tmp_path, capsys,
                                                 monkeypatch, edit, key):
     """Values of the right type that no run can use fail when the config
@@ -443,6 +461,44 @@ def test_cli_rejects_out_of_range_config_values(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+def _with_pretrain(cfg):
+    cfg["source_data"] = dict(cfg["target_data"], seed=1)
+    cfg["pretrain"] = dict(cfg["finetune"])
+    return cfg
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("run", "finetune"), ("run", "pretrain"), ("pretrain", "pretrain"),
+    ("finetune", "finetune")])
+def test_cli_rejects_a_batch_larger_than_the_train_split(
+        tmp_path, capsys, monkeypatch, command, stage):
+    """48 synthetic images split into 36 train and 12 val; a batch of 64
+    would train no step."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))
+    cfg[stage]["batch"] = 64
+    argv = [command, _write_config(tmp_path, cfg)]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+        save_checkpoint(argv[-1], MiniCNN(
+            experiment._source_model_config(ExperimentConfig(cfg))))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: batch 64 exceeds the 36 images")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_pretrain_checks_only_the_pretrain_batch(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))
+    cfg["finetune"]["batch"] = 64
+    assert main(["pretrain", _write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.startswith("pre-training done")
 
 
 def test_cli_missing_config_file(tmp_path):

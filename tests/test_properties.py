@@ -10,7 +10,8 @@ number of steps and the attacked branch, and checks the attack's
 invariants (Madry et al., arXiv 1706.06083), and that an attack on two
 CPUs, whose halves run in two threads at once, is bitwise the attack on
 one CPU. For experiment configs it draws a key and a value of the wrong
-type, which must fail as a `ConfigError` naming the key.
+type, and for each key with a range a value of the right type outside it;
+either must fail as a `ConfigError` naming the key.
 """
 
 from unittest import mock
@@ -30,6 +31,7 @@ from twins_lab.tensor import (ParamStore, Tensor, _channel_sum,
                               conv2d, conv2d_weight_grad,
                               feature_distance, finite_diff_grad,
                               global_avg_pool, linear)
+from twins_lab.training import METHODS
 
 # derandomized, so tier-1 runs the same examples every time
 PROFILE = settings(derandomize=True, database=None, deadline=None,
@@ -524,5 +526,77 @@ def test_wrong_typed_config_value_is_a_config_error_naming_its_key(data):
     for name in section:
         parent = parent[name]
     parent[key] = value
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        ExperimentConfig(raw)
+
+
+_NEGATIVE = st.floats(max_value=0.0, exclude_max=True)
+_NOT_FINITE = st.sampled_from((float("inf"), float("nan")))
+
+
+def _ints_below(least):
+    return st.integers(max_value=least - 1)
+
+
+def _shapes_out_of_range():
+    """Lists of positive integers but not 3 of them, or 3 integers with one
+    below 1."""
+    return st.one_of(
+        st.lists(st.integers(1, 8), max_size=5).filter(lambda v: len(v) != 3),
+        st.tuples(_ints_below(1), st.integers(1, 8), st.integers(1, 8)).map(
+            list))
+
+
+def _text_not_in(options):
+    return st.text(max_size=12).filter(lambda t: t not in options)
+
+
+# what each kind of range rejects: below 0 or not finite; outside [0, 1]
+# (or [0, 1), which also rejects 1)
+_NON_NEGATIVE_BAD = st.one_of(_NEGATIVE, _NOT_FINITE)
+_UNIT_BAD = st.one_of(_NEGATIVE, st.floats(min_value=1.0, exclude_min=True),
+                      st.just(float("nan")))
+_UNIT_OPEN_BAD = st.one_of(_NEGATIVE, st.floats(min_value=1.0),
+                           st.just(float("nan")))
+
+# (section, key, values of the right type outside the key's range)
+_RANGED_KEYS = (
+    [((), "seeds", st.lists(_ints_below(0), min_size=1, max_size=3))]
+    + [(("model",), key, bad) for key, bad in (
+        ("input_shape", _shapes_out_of_range()),
+        ("widths", st.lists(st.integers(max_value=0), max_size=3)),
+        ("target_classes", _ints_below(1)),
+        ("source_classes", _ints_below(0)),
+        ("dtype", _text_not_in(("float32", "float64"))),
+        ("bn_eps", _NON_NEGATIVE_BAD), ("bn_momentum", _UNIT_BAD))]
+    + [(("target_data",), key, bad) for key, bad in (
+        ("source", _text_not_in(("synthetic", "idx-files", "npz"))),
+        ("classes", _ints_below(1)), ("image_shape", _shapes_out_of_range()),
+        ("per_class", _ints_below(1)), ("noise_std", _NON_NEGATIVE_BAD),
+        ("seed", _ints_below(0)), ("val_fraction", _UNIT_OPEN_BAD))]
+    + [(("finetune",), key, _NON_NEGATIVE_BAD) for key in (
+        "eta", "lambda_wd", "momentum", "lambda_twins", "lambda_lwf",
+        "lambda_uot", "beta", "decay")]
+    + [(("finetune",), key, bad) for key, bad in (
+        ("method", _text_not_in(METHODS)), ("batch", _ints_below(1)),
+        ("epochs", _ints_below(1)), ("seed", _ints_below(0)),
+        ("warmup_epochs", _ints_below(0)))]
+    + [(("finetune", "attack"), key, bad) for key, bad in (
+        ("epsilon", _UNIT_BAD), ("alpha", _NON_NEGATIVE_BAD),
+        ("steps", _ints_below(0)),
+        ("loss_kind", _text_not_in(("ce", "kl_to_clean"))))])
+
+
+@pytest.mark.parametrize("section, key, bad", _RANGED_KEYS,
+                         ids=[".".join(s + (k,)) for s, k, _ in _RANGED_KEYS])
+@settings(PROFILE, max_examples=10)
+@given(st.data())
+def test_out_of_range_config_value_is_a_config_error_naming_its_key(
+        section, key, bad, data):
+    raw = _config()
+    parent = raw
+    for name in section:
+        parent = parent[name]
+    parent[key] = data.draw(bad)
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         ExperimentConfig(raw)
