@@ -12,18 +12,35 @@ import numpy as np
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import atomic_open, load_checkpoint
 from .data import load_dataset, load_records, save_idx, val_count
-from .experiment import (ConfigError, ExperimentConfig, joint_source,
-                         read_metrics, require_full_batch, run_experiment,
-                         run_finetune, run_pretrain)
+from .experiment import (ConfigError, joint_source, load_config,
+                         read_metrics, require_stages, run_experiment,
+                         run_finetune, run_pretrain, stage)
 
 
-def _load_config(args):
-    """The config at `args.config`, with `--out` and `--method` applied."""
-    cfg = ExperimentConfig.from_file(args.config)
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "method", None) is not None:
-        cfg.finetune = dataclasses.replace(cfg.finetune, method=args.method)
+def _load_config(args, seed_key=None):
+    """The config at `args.config` with `--out` set as out_dir, `--method`
+    as finetune.method and `--seed` as `seed_key` ("seeds" or
+    "pretrain.seed"). `dataclasses.replace` checks each as it checks the
+    file's values; a bad one is a ConfigError naming its section."""
+    cfg = load_config(args.config)
+    edits = {"out_dir": getattr(args, "out", None),
+             "finetune.method": getattr(args, "method", None)}
+    if seed_key and args.seed is not None:
+        edits[seed_key] = [args.seed] if seed_key == "seeds" else args.seed
+    for path, value in edits.items():
+        if value is None:
+            continue
+        section, _, key = path.rpartition(".")
+        try:
+            if section:
+                value = dataclasses.replace(stage(cfg, section),
+                                            **{key: value})
+            cfg = dataclasses.replace(cfg, **{section or key: value})
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}" if section else str(exc)) \
+                from exc
     return cfg
 
 
@@ -63,10 +80,8 @@ def _cmd_gen_data(args):
 
 
 def _cmd_pretrain(args):
-    cfg = _load_config(args)
-    if args.seed is not None:
-        cfg.pretrain = dataclasses.replace(cfg.pretrain, seed=args.seed)
-    require_full_batch(cfg, "pretrain")
+    cfg = _load_config(args, "pretrain.seed")
+    require_stages(cfg, "pretrain")
     os.makedirs(cfg.out_dir, exist_ok=True)
     _, history = run_pretrain(cfg, out_dir=cfg.out_dir)
     print(f"pre-training done: final clean acc {history[-1].clean_acc:.3f}, "
@@ -75,16 +90,14 @@ def _cmd_pretrain(args):
 
 
 def _cmd_finetune(args):
-    cfg = _load_config(args)
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
-    require_full_batch(cfg, "finetune")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    cfg = _load_config(args, "seeds")
+    require_stages(cfg, "finetune")
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)
     target = load_dataset(cfg.target_data)
     _check_input_shape(pretrained, target[0][0], ckpt)
     source = joint_source(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     for seed in cfg.seeds:
         _, history = run_finetune(cfg, pretrained, seed, target, source,
                                   out_dir=cfg.out_dir,
@@ -123,10 +136,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_run(args):
-    cfg = _load_config(args)
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
-    results = run_experiment(cfg)
+    results = run_experiment(_load_config(args, "seeds"))
     print(json.dumps(results, indent=2, sort_keys=True))
     return 0
 

@@ -127,11 +127,6 @@ def split_sizes(spec):
     return n - n_val, n_val
 
 
-def val_split_size(spec):
-    """The validation split's size, as `split_sizes` counts it."""
-    return split_sizes(spec)[1]
-
-
 def _npz_arrays(path, names):
     """The arrays `names` of the npz archive at `path`, each read only
     when named; `y` must hold (N,) integer labels."""

@@ -9,9 +9,9 @@ import numpy as np
 from .analysis import evaluate
 from .attack import AttackConfig
 from .checkpoint import atomic_open, save_checkpoint
-from .data import DatasetSpec, load_dataset, split_sizes, val_split_size
+from .data import DatasetSpec, load_dataset, split_sizes
 from .network import MiniCNN, ModelConfig, make_finetune_model
-from .schema import check, integers, text
+from .schema import REQUIRED, check, integers, section, text
 from .training import (TrainConfig, require_val_split, run_training,
                        warmup_bn)
 
@@ -23,93 +23,58 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _build(cls, raw, context):
-    """The config dataclass `cls` of the JSON object `raw`, with nested
-    sections; a bad key or value raises ConfigError prefixed `context`."""
+def _build(cls, raw, context=""):
+    """The config dataclass `cls` of the JSON object `raw`, with its nested
+    sections (null for an optional one means absent); a bad, unknown or
+    missing key raises ConfigError prefixed `context`, the dotted name of
+    the section, which is empty at the top level."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: expected an object")
-    sections = {f.name: f.metadata["section"] for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(sections)
+        raise ConfigError(f"{context}: expected an object" if context
+                          else "the config must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    kwargs = {key: _build(sections[key], value, f"{context}.{key}")
-              if sections[key] else value for key, value in raw.items()}
+        raise ConfigError(f"{context}: unknown keys {unknown}" if context
+                          else f"unknown top-level keys {unknown}")
+    for name, field in fields.items():
+        if name not in raw and field.default is REQUIRED \
+                and field.default_factory is REQUIRED:
+            raise ConfigError(f"missing required key {name!r}")
+    kwargs = {}
+    for key, value in raw.items():
+        cls_of = fields[key].metadata["section"]
+        kwargs[key] = (_build(cls_of, value,
+                              f"{context}.{key}" if context else key)
+                       if cls_of and value is not None else value)
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def parse_train_config(raw, context="train"):
-    return _build(TrainConfig, raw, context)
-
-
-def parse_dataset_spec(raw, context="dataset"):
-    spec = _build(DatasetSpec, raw, context)
-    for path in (spec.images_path, spec.labels_path):
-        if path and not os.path.exists(path):
-            raise ConfigError(f"{context}: referenced file {path!r} missing")
-    return spec
+        raise ConfigError(f"{context}: {exc}" if context else str(exc)) \
+            from exc
 
 
 @dataclasses.dataclass
-class _TopLevel:
-    """The config's values outside every section."""
-    out_dir: str = text("")
+class ExperimentConfig:
+    """A whole experiment, checked on construction and so on every
+    `dataclasses.replace`: each field against its kind, then the rules
+    that relate sections, each raising ConfigError that names its key.
+    `eval_attack` defaults to the fine-tuning attack."""
+    out_dir: str = text(REQUIRED)
+    model: ModelConfig = section(ModelConfig, REQUIRED)
+    target_data: DatasetSpec = section(DatasetSpec, REQUIRED)
+    finetune: TrainConfig = section(TrainConfig, REQUIRED)
+    source_data: DatasetSpec = section(DatasetSpec, None)
+    pretrain: TrainConfig = section(TrainConfig, None)
+    eval_attack: AttackConfig = section(AttackConfig, None)
     seeds: tuple = integers((0,), least=0, nonempty=True)
 
-    __post_init__ = check
-
-
-class ExperimentConfig:
-    """Validated JSON experiment description.
-
-    Top-level keys: out_dir, seeds, model, target_data, source_data
-    (optional), pretrain (optional), finetune, eval_attack (optional,
-    else the fine-tuning attack). Unknown keys are rejected everywhere.
-    """
-
-    _TOP_KEYS = {"out_dir", "seeds", "model", "target_data", "source_data",
-                 "pretrain", "finetune", "eval_attack"}
-
-    def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("the config must be a JSON object")
-        unknown = set(raw) - self._TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-        for key in ("out_dir", "model", "target_data", "finetune"):
-            if key not in raw:
-                raise ConfigError(f"missing required key {key!r}")
-        try:
-            top = _TopLevel(**{k: raw[k] for k in ("out_dir", "seeds")
-                               if k in raw})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        self.out_dir = top.out_dir
-        self.seeds = list(top.seeds)
-        self.model = _build(ModelConfig, raw["model"], "model")
-        self.target_data = parse_dataset_spec(raw["target_data"],
-                                              "target_data")
-        self.source_data = (parse_dataset_spec(raw["source_data"],
-                                               "source_data")
-                            if raw.get("source_data") else None)
-        self.pretrain = (parse_train_config(raw["pretrain"], "pretrain")
-                         if raw.get("pretrain") else None)
-        self.finetune = parse_train_config(raw["finetune"], "finetune")
-        self.eval_attack = (_build(AttackConfig, raw["eval_attack"],
-                                   "eval_attack")
-                            if raw.get("eval_attack")
-                            else self.finetune.attack)
+    def __post_init__(self):
+        check(self)
+        if self.eval_attack is None:
+            self.eval_attack = self.finetune.attack
         if self.pretrain is not None and self.source_data is None:
             raise ConfigError("pretrain stage declared without source_data")
-        self._check_data()
-
-    def _check_data(self):
-        """Raise ConfigError, naming the key, where a dataset disagrees with
-        the model: a synthetic one with images of another shape, or a
-        target of any source that declares more classes, its label bound,
-        than the target head has."""
+        # a target's classes are its label bound, whatever its source
         model = self.model
         if self.target_data.classes > model.target_classes:
             raise ConfigError(f"target_data: classes "
@@ -117,34 +82,55 @@ class ExperimentConfig:
                               f"model.target_classes {model.target_classes}")
         for key, spec in (("target_data", self.target_data),
                           ("source_data", self.source_data)):
-            if spec is None or spec.source != "synthetic":
+            if spec is None:
                 continue
-            if tuple(spec.image_shape) != model.input_shape:
+            for path in (spec.images_path, spec.labels_path):
+                if path and not os.path.exists(path):
+                    raise ConfigError(f"{key}: referenced file {path!r} "
+                                      "missing")
+            if (spec.source == "synthetic"
+                    and tuple(spec.image_shape) != model.input_shape):
                 raise ConfigError(f"{key}: image_shape "
                                   f"{list(spec.image_shape)} differs from "
                                   f"model.input_shape "
                                   f"{list(model.input_shape)}")
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+
+def parse_config(raw):
+    """The ExperimentConfig of the JSON object `raw`."""
+    return _build(ExperimentConfig, raw)
 
 
-def require_full_batch(cfg, *stages):
-    """Raise ConfigError, naming the key, where a stage of `cfg`
-    ("pretrain" or "finetune") has a batch larger than the train split of
-    its data (source_data or target_data): a partial batch is dropped, so
-    the stage would train no step."""
-    for stage, key in (("pretrain", "source_data"),
-                       ("finetune", "target_data")):
-        train, spec = getattr(cfg, stage), getattr(cfg, key)
-        if stage not in stages or train is None or spec is None:
-            continue
-        n_train = split_sizes(spec)[0]
-        if train.batch > n_train:
-            raise ConfigError(f"{stage}: batch {train.batch} exceeds the "
+def load_config(path):
+    """The ExperimentConfig of the JSON file at `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(json.load(fh))
+
+
+def stage(cfg, name):
+    """The TrainConfig of `cfg`'s stage `name` ("pretrain" or "finetune");
+    ConfigError if the config declares none."""
+    train = getattr(cfg, name)
+    if train is None:
+        raise ConfigError(f"{name}: the config declares no {name} stage")
+    return train
+
+
+def require_stages(cfg, *names):
+    """Raise ConfigError, naming the key, unless each stage in `names` is
+    declared and its batch fits the train split of its data (source_data
+    or target_data: a partial batch is dropped, so a larger batch would
+    train no step), and ValueError naming the data if that data's
+    validation split is empty. Each command calls this once for the
+    stages it runs, before it writes anything."""
+    for name in names:
+        batch = stage(cfg, name).batch
+        key = "source_data" if name == "pretrain" else "target_data"
+        n_train, n_val = split_sizes(getattr(cfg, key))
+        if batch > n_train:
+            raise ConfigError(f"{name}: batch {batch} exceeds the "
                               f"{n_train} images of {key}'s train split")
+        require_val_split(n_val, key)
 
 
 def write_metrics(history, path):
@@ -210,8 +196,6 @@ def run_pretrain(cfg, out_dir=None, source=None):
 
     `source` is the (train, val) pair of `cfg.source_data` when the
     caller has already loaded it."""
-    if cfg.source_data is None or cfg.pretrain is None:
-        raise ConfigError("pre-training needs source_data and pretrain")
     train, val = load_dataset(cfg.source_data) if source is None else source
     model = MiniCNN(_source_model_config(cfg),
                     rng=np.random.default_rng(cfg.pretrain.seed))
@@ -234,7 +218,6 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
     only read, so one load can serve every seed.
     """
     train, val = target
-    require_val_split(len(val[1]))
     ft = dataclasses.replace(cfg.finetune, seed=seed)
     model = make_finetune_model(pretrained, cfg.model.target_classes,
                                 seed=seed)
@@ -242,13 +225,8 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
         warmup_bn(model, train[0], ft.attack,
                   rng=np.random.default_rng(seed + 7919),
                   warmup_epochs=ft.warmup_epochs, batch=ft.batch)
-    source_train = None
-    if ft.method == "joint":
-        if source is None:
-            raise ConfigError("joint fine-tuning needs the source dataset")
-        source_train = source[0]
-    model, history = run_training(ft, train, val, model,
-                                  source_data=source_train)
+    model, history = run_training(ft, train, val, model, source_data=(
+        None if source is None else source[0]))
     if out_dir is not None:
         suffix = f"{tag}_seed{seed}" if tag else f"seed{seed}"
         save_checkpoint(os.path.join(out_dir, f"finetuned_{suffix}.ckpt"),
@@ -262,12 +240,12 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
 def run_experiment(cfg):
     """Full pipeline of the ExperimentConfig `cfg`: optional pre-training,
     then per-seed warmup, fine-tuning and evaluation. Artifacts land in
-    `cfg.out_dir`. An empty target validation split fails before
-    pre-training, and so does a batch larger than its train split."""
-    require_val_split(val_split_size(cfg.target_data))
-    require_full_batch(cfg, "pretrain", "finetune")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    `cfg.out_dir`, which is made only once every stage has passed
+    `require_stages`."""
+    require_stages(cfg, *(("finetune",) if cfg.pretrain is None
+                          else ("pretrain", "finetune")))
     source = joint_source(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.pretrain is not None:
         pretrained, _ = run_pretrain(cfg, out_dir=cfg.out_dir, source=source)
     else:

@@ -12,11 +12,15 @@ def is_int(value):
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+REQUIRED = dataclasses.MISSING  # the default of a key the config must hold
+
+
 def _field(default, test, wanted, section=None):
-    # a `section` field holds that config dataclass, in JSON an object
+    # a `section` field holds that config dataclass, in JSON an object; a
+    # class as the default makes a fresh instance of it
     meta = {"kind": (test, wanted), "section": section}
-    if section:
-        return dataclasses.field(default_factory=section, metadata=meta)
+    if isinstance(default, type):
+        return dataclasses.field(default_factory=default, metadata=meta)
     return dataclasses.field(default=default, metadata=meta)
 
 
@@ -58,8 +62,11 @@ def integers(default, least=None, length=None, nonempty=False):
         f"{size} integers" + ("" if least is None else f" >= {least}"))
 
 
-def section(cls):
-    return _field(None, lambda v: isinstance(v, cls), "an object", cls)
+def section(cls, default):
+    """A config dataclass `cls`: absent, `default`, which is `cls` for
+    `cls()`, None for an optional section, or REQUIRED."""
+    return _field(default, lambda v: isinstance(v, cls)
+                  or (v is None and default is None), "an object", cls)
 
 
 def check(config):

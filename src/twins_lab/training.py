@@ -33,7 +33,7 @@ class TrainConfig:
     milestones: tuple = integers((10, 16))
     decay: float = number(0.1)
     seed: int = integer(0, least=0)
-    attack: AttackConfig = section(AttackConfig)
+    attack: AttackConfig = section(AttackConfig, AttackConfig)
     warmup_epochs: int = integer(0, least=0)
 
     def __post_init__(self):
@@ -199,13 +199,12 @@ def flat_grad_norm(grads, names):
     return float(np.sqrt(total))
 
 
-def require_val_split(n_val):
-    """Raise ValueError if the validation split holds no image (`n_val`
-    is its size)."""
+def require_val_split(n_val, data="the dataset"):
+    """Raise ValueError if the validation split of `data` holds no image
+    (`n_val` is its size)."""
     if n_val == 0:
-        raise ValueError("the validation split is empty: raise the "
-                         "dataset's val_fraction so that it holds at least "
-                         "one image")
+        raise ValueError(f"the validation split is empty: raise {data}'s "
+                         "val_fraction so that it holds at least one image")
 
 
 def run_training(cfg, train_data, val_data, model, source_data=None):

@@ -7,7 +7,7 @@ import pytest
 from twins_lab.data import (DatasetSpec, IdxCountMismatchError,
                             IdxFormatError, gen_synthetic_dataset,
                             load_dataset, load_idx, save_idx,
-                            split_train_val, val_split_size)
+                            split_sizes, split_train_val)
 
 
 def test_spec_validation():
@@ -209,7 +209,8 @@ def test_val_split_size_counts_what_load_dataset_splits(tmp_path, source,
         spec.images_path = str(tmp_path / "data.npz")
         np.savez(spec.images_path, x=x, y=y)
     spec.source = source
-    assert val_split_size(spec) == len(load_dataset(spec)[1][1])
+    train, val = load_dataset(spec)
+    assert split_sizes(spec) == (len(train[1]), len(val[1]))
 
 
 def test_val_split_size_reads_no_idx_image(tmp_path):
@@ -221,6 +222,6 @@ def test_val_split_size_reads_no_idx_image(tmp_path):
     spec = DatasetSpec(source="idx-files", classes=2, image_shape=(1, 2, 2),
                        images_path=images, labels_path=labels,
                        val_fraction=0.25)
-    assert val_split_size(spec) == 2
+    assert split_sizes(spec) == (6, 2)
     with pytest.raises(IdxFormatError):
         load_dataset(spec)

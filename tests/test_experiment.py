@@ -9,9 +9,8 @@ import pytest
 
 from twins_lab import cli, experiment, training
 from twins_lab.cli import main
-from twins_lab.experiment import (METRICS_HEADER, ConfigError,
-                                  ExperimentConfig, parse_train_config,
-                                  read_metrics, run_experiment,
+from twins_lab.experiment import (METRICS_HEADER, ConfigError, load_config,
+                                  parse_config, read_metrics, run_experiment,
                                   write_metrics)
 from twins_lab.checkpoint import save_checkpoint
 from twins_lab.data import NpzFormatError, load_dataset, save_idx
@@ -81,7 +80,8 @@ def test_metrics_rejects_foreign_header(tmp_path):
 
 def test_config_rejects_unknown_method_before_training():
     with pytest.raises(ConfigError):
-        parse_train_config({"method": "twins-qt"})
+        experiment._build(training.TrainConfig, {"method": "twins-qt"},
+                          "finetune")
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -90,11 +90,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         cfg = _base_config(str(tmp_path / "out"))
         cfg["finetune"][key] = value
         with pytest.raises(ConfigError, match=key):
-            ExperimentConfig(cfg)
+            parse_config(cfg)
     cfg = _base_config(str(tmp_path / "out"))
     cfg["typo_section"] = {}
     with pytest.raises(ConfigError):
-        ExperimentConfig(cfg)
+        parse_config(cfg)
 
 
 @pytest.mark.parametrize("key,value", [("widths", []), ("dtype", "float16"),
@@ -103,21 +103,21 @@ def test_config_rejects_bad_model_values(tmp_path, key, value):
     cfg = _base_config(str(tmp_path / "out"))
     cfg["model"][key] = value
     with pytest.raises(ConfigError, match=key):
-        ExperimentConfig(cfg)
+        parse_config(cfg)
 
 
 def test_config_requires_core_sections(tmp_path):
     cfg = _base_config(str(tmp_path / "out"))
     del cfg["finetune"]
     with pytest.raises(ConfigError):
-        ExperimentConfig(cfg)
+        parse_config(cfg)
 
 
 def test_config_pretrain_needs_source_data(tmp_path):
     cfg = _base_config(str(tmp_path / "out"))
     cfg["pretrain"] = dict(cfg["finetune"])
     with pytest.raises(ConfigError):
-        ExperimentConfig(cfg)
+        parse_config(cfg)
 
 
 def test_config_missing_idx_file_rejected(tmp_path):
@@ -126,13 +126,13 @@ def test_config_missing_idx_file_rejected(tmp_path):
                           "images_path": str(tmp_path / "nope.idx"),
                           "labels_path": str(tmp_path / "nope2.idx")}
     with pytest.raises(ConfigError):
-        ExperimentConfig(cfg)
+        parse_config(cfg)
 
 
 def test_run_experiment_produces_artifacts(tmp_path):
     out = str(tmp_path / "out")
     path = _write_config(tmp_path, _base_config(out))
-    results = run_experiment(ExperimentConfig.from_file(path))
+    results = run_experiment(load_config(path))
     assert set(results) == {0}
     assert 0.0 <= results[0]["clean_acc"] <= 1.0
     assert os.path.exists(os.path.join(out, "summary.json"))
@@ -145,7 +145,7 @@ def test_run_experiment_is_deterministic(tmp_path):
     cfg = _base_config("ignored")
     path = _write_config(tmp_path, cfg)
     for sub in ("a", "b"):
-        cfg = ExperimentConfig.from_file(path)
+        cfg = load_config(path)
         cfg.out_dir = str(tmp_path / sub)
         run_experiment(cfg)
     with open(tmp_path / "a" / "metrics_seed0.csv", "rb") as fh:
@@ -228,7 +228,7 @@ def test_cli_rejects_a_checkpoint_of_another_input_shape(tmp_path, capsys,
     out = tmp_path / "out"
     cfg = _base_config(str(out))
     ckpt = str(tmp_path / "model.ckpt")
-    save_checkpoint(ckpt, MiniCNN(ExperimentConfig(cfg).model))  # 3x8x8
+    save_checkpoint(ckpt, MiniCNN(parse_config(cfg).model))  # 3x8x8
     cfg["model"]["input_shape"] = [3, 16, 16]
     cfg["target_data"]["image_shape"] = [3, 16, 16]
     cfg["finetune"]["warmup_epochs"] = 1
@@ -238,7 +238,7 @@ def test_cli_rejects_a_checkpoint_of_another_input_shape(tmp_path, capsys,
     assert err.startswith("error: target images are [3, 16, 16], but "
                           f"checkpoint {ckpt} has model.input_shape "
                           "[3, 8, 8]")
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_cli_eval_on_checkpoint(tmp_path, capsys):
@@ -280,7 +280,7 @@ def test_gen_data_reads_back_the_same_split(tmp_path, channels):
     cfg["target_data"].update(image_shape=[channels, 8, 8], seed=7,
                               val_fraction=0.3)
     cfg["model"]["input_shape"] = [channels, 8, 8]
-    spec = ExperimentConfig(cfg).target_data
+    spec = parse_config(cfg).target_data
     (xt, yt), (xv, yv) = load_dataset(spec)
     assert main(["gen-data", _write_config(tmp_path, cfg)]) == 0
     if channels == 1:
@@ -315,7 +315,7 @@ def test_npz_source_rejects_malformed_archives(tmp_path, capsys, arrays,
     cfg["target_data"] = {"source": "npz", "classes": 2,
                           "image_shape": [3, 2, 2], "images_path": archive}
     with pytest.raises(NpzFormatError, match=message):
-        load_dataset(ExperimentConfig(cfg).target_data)
+        load_dataset(parse_config(cfg).target_data)
     assert main(["gen-data", _write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
@@ -344,7 +344,7 @@ def test_npz_source_rejects_a_file_that_is_no_archive(tmp_path, capsys,
     cfg["target_data"] = {"source": "npz", "classes": 2,
                           "image_shape": [3, 2, 2], "images_path": path}
     with pytest.raises(NpzFormatError):
-        load_dataset(ExperimentConfig(cfg).target_data)
+        load_dataset(parse_config(cfg).target_data)
     assert main(["gen-data", _write_config(tmp_path, cfg)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
@@ -361,7 +361,7 @@ def test_cli_rejects_bad_config(tmp_path):
 def test_diverged_run_stops_naming_epoch_and_batch(tmp_path, capsys):
     cfg = _base_config(str(tmp_path / "out"))
     cfg["finetune"].update(method="at", eta=1e6, batch=16, epochs=4)
-    exp = ExperimentConfig(cfg)
+    exp = parse_config(cfg)
     train, val = load_dataset(exp.target_data)
     model = MiniCNN(exp.model, rng=np.random.default_rng(0))
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -469,6 +469,14 @@ def _with_pretrain(cfg):
     return cfg
 
 
+def _source_checkpoint(tmp_path, cfg):
+    """The path of a fresh checkpoint of `cfg`'s pre-training model."""
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, MiniCNN(
+        experiment._source_model_config(parse_config(cfg))))
+    return path
+
+
 @pytest.mark.parametrize("command, stage", [
     ("run", "finetune"), ("run", "pretrain"), ("pretrain", "pretrain"),
     ("finetune", "finetune")])
@@ -483,13 +491,60 @@ def test_cli_rejects_a_batch_larger_than_the_train_split(
     cfg[stage]["batch"] = 64
     argv = [command, _write_config(tmp_path, cfg)]
     if command == "finetune":
-        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
-        save_checkpoint(argv[-1], MiniCNN(
-            experiment._source_model_config(ExperimentConfig(cfg))))
+        argv += ["--checkpoint", _source_checkpoint(tmp_path, cfg)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage}: batch 64 exceeds the 36 images")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--seed", "-1"], "seeds"),
+    (["finetune", "--seed", "-1"], "seeds"),
+    (["pretrain", "--seed", "-1"], "pretrain: seed"),
+    (["run", "--method", "twins-qt"], "finetune: method"),
+], ids=["run-seed", "finetune-seed", "pretrain-seed", "method"])
+def test_cli_checks_a_flag_as_the_config_key_it_sets(tmp_path, capsys,
+                                                     monkeypatch, argv, key):
+    """A flag's value fails as the same value in the config file would,
+    before anything is trained or written."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))
+    command, *flags = argv
+    argv = [command, _write_config(tmp_path, cfg)] + flags
+    if command == "finetune":
+        argv += ["--checkpoint", _source_checkpoint(tmp_path, cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err.splitlines()[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"]],
+                         ids=["plain", "seed"])
+def test_cli_pretrain_needs_a_pretrain_stage(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    argv = ["pretrain", _write_config(tmp_path, _base_config(str(out)))]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pretrain: the config declares no pretrain "
+                          "stage")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_finetune_reads_its_checkpoint_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    ckpt = str(tmp_path / "absent.ckpt")
+    argv = ["finetune", _write_config(tmp_path, _base_config(str(out))),
+            "--checkpoint", ckpt]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ckpt in err
     assert not out.exists()
 
 
@@ -577,12 +632,12 @@ def test_failed_metrics_write_keeps_previous_file(tmp_path, disk_full):
 def test_failed_summary_write_keeps_previous_file(tmp_path, disk_full):
     out = tmp_path / "out"
     path = _write_config(tmp_path, _base_config(str(out)))
-    run_experiment(ExperimentConfig.from_file(path))
+    run_experiment(load_config(path))
     with open(out / "summary.json", "rb") as fh:
         before = fh.read()
     disk_full("summary.json")
     with pytest.raises(OSError):
-        run_experiment(ExperimentConfig.from_file(path))
+        run_experiment(load_config(path))
     with open(out / "summary.json", "rb") as fh:
         assert fh.read() == before
     assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
@@ -714,21 +769,19 @@ def test_cli_stops_on_an_empty_validation_split(tmp_path, capsys,
     cfg[split]["val_fraction"] = val_fraction
     argv = [command, _write_config(tmp_path, cfg)]
     if command == "finetune":
-        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
-        save_checkpoint(argv[-1], MiniCNN(
-            experiment._source_model_config(ExperimentConfig(cfg))))
+        argv += ["--checkpoint", _source_checkpoint(tmp_path, cfg)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the validation split is empty")
     assert "Traceback" not in err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_cli_eval_stops_on_an_empty_validation_split(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _base_config(str(out))
     cfg["target_data"]["val_fraction"] = 0.0
-    exp = ExperimentConfig(cfg)
+    exp = parse_config(cfg)
     ckpt = str(tmp_path / "model.ckpt")
     save_checkpoint(ckpt, MiniCNN(exp.model, rng=np.random.default_rng(0)))
     path = _write_config(tmp_path, cfg)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from twins_lab import attack
 from twins_lab.attack import AttackConfig, pgd_attack
-from twins_lab.experiment import ConfigError, ExperimentConfig
+from twins_lab.experiment import ConfigError, parse_config
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
 from twins_lab.tensor import (ParamStore, Tensor, _channel_sum,
@@ -527,7 +527,7 @@ def test_wrong_typed_config_value_is_a_config_error_naming_its_key(data):
         parent = parent[name]
     parent[key] = value
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
-        ExperimentConfig(raw)
+        parse_config(raw)
 
 
 _NEGATIVE = st.floats(max_value=0.0, exclude_max=True)
@@ -599,4 +599,4 @@ def test_out_of_range_config_value_is_a_config_error_naming_its_key(
         parent = parent[name]
     parent[key] = data.draw(bad)
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
-        ExperimentConfig(raw)
+        parse_config(raw)
