@@ -12,9 +12,9 @@ import numpy as np
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import atomic_open, load_checkpoint
 from .data import load_dataset, load_records, save_idx, val_count
-from .experiment import (ConfigError, joint_source, load_config,
-                         read_metrics, require_stages, run_experiment,
-                         run_finetune, run_pretrain, stage)
+from .experiment import (ConfigError, check_data, load_config, load_data,
+                         read_metrics, run_experiment, run_finetune,
+                         run_pretrain, stage)
 
 
 def _load_config(args, seed_key=None):
@@ -44,17 +44,6 @@ def _load_config(args, seed_key=None):
     return cfg
 
 
-def _check_input_shape(model, images, checkpoint):
-    """Raise ConfigError unless `images` have the (C, H, W) shape the
-    checkpoint's model was built for; global average pooling would take
-    any size without a word."""
-    shape = tuple(images.shape[1:])
-    if shape != tuple(model.config.input_shape):
-        raise ConfigError(f"target images are {list(shape)}, but checkpoint "
-                          f"{checkpoint} has model.input_shape "
-                          f"{list(model.config.input_shape)}")
-
-
 def _cmd_gen_data(args):
     """Write each dataset's records in `load_dataset`'s pre-split order, so
     an "npz" or "idx-files" spec with the same seed and val_fraction reads
@@ -81,9 +70,10 @@ def _cmd_gen_data(args):
 
 def _cmd_pretrain(args):
     cfg = _load_config(args, "pretrain.seed")
-    require_stages(cfg, "pretrain")
+    _, source = load_data(cfg, ("pretrain",), cfg.model.input_shape,
+                          "the config")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _, history = run_pretrain(cfg, out_dir=cfg.out_dir)
+    _, history = run_pretrain(cfg, source, out_dir=cfg.out_dir)
     print(f"pre-training done: final clean acc {history[-1].clean_acc:.3f}, "
           f"pgd acc {history[-1].pgd_acc:.3f}")
     return 0
@@ -91,12 +81,11 @@ def _cmd_pretrain(args):
 
 def _cmd_finetune(args):
     cfg = _load_config(args, "seeds")
-    require_stages(cfg, "finetune")
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)
-    target = load_dataset(cfg.target_data)
-    _check_input_shape(pretrained, target[0][0], ckpt)
-    source = joint_source(cfg)
+    target, source = load_data(cfg, ("finetune",),
+                               pretrained.config.input_shape,
+                               f"checkpoint {ckpt}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     for seed in cfg.seeds:
         _, history = run_finetune(cfg, pretrained, seed, target, source,
@@ -109,12 +98,19 @@ def _cmd_finetune(args):
 
 def _cmd_eval(args):
     cfg = _load_config(args)
+    seed = args.seed or 0
+    if seed < 0:
+        # no config key holds it, so no config check covers it
+        raise ConfigError(f"--seed (the attack's random start) must be an "
+                          f"integer >= 0, got {seed}")
     model, meta = load_checkpoint(args.checkpoint)
-    # the train split is dropped at once, not held through evaluation
-    val = load_dataset(cfg.target_data)[1]
-    _check_input_shape(model, val[0], args.checkpoint)
+    target = load_dataset(cfg.target_data)
+    check_data(cfg, {"target_data": target}, (), model.config.input_shape,
+               f"checkpoint {args.checkpoint}")
+    val = target[1]
+    del target  # the train split is not held through evaluation
     clean, robust = evaluate(model, val, cfg.eval_attack,
-                             rng=np.random.default_rng(args.seed or 0))
+                             rng=np.random.default_rng(seed))
     print(json.dumps({"checkpoint": args.checkpoint,
                       "method": meta.get("method"),
                       "clean_acc": clean, "pgd_acc": robust}, indent=2))

@@ -112,46 +112,23 @@ def load_dataset(spec):
     return split_train_val(x, y, spec.val_fraction, seed=spec.seed)
 
 
-def split_sizes(spec):
-    """How many records `load_dataset(spec)` puts in its (train, val)
-    splits, counted from the spec, the IDX label header or the npz
-    archive's `y` without reading any image."""
-    if spec.source == "synthetic":
-        n = spec.classes * spec.per_class
-    elif spec.source == "npz":
-        n = len(_npz_arrays(spec.images_path, ("y",))["y"])
-    else:
-        with open(spec.labels_path, "rb") as fh:
-            n = _idx_label_count(fh)
-    n_val = val_count(n, spec.val_fraction)
-    return n - n_val, n_val
-
-
-def _npz_arrays(path, names):
-    """The arrays `names` of the npz archive at `path`, each read only
-    when named; `y` must hold (N,) integer labels."""
+def load_npz(path):
+    """Read an npz archive's `x` (N, C, H, W) images and `y` (N,) labels."""
     with open(path, "rb") as fh:
         try:
             archive = np.load(fh)
-            arrays = ({k: archive[k] for k in names if k in archive}
+            arrays = ({k: archive[k] for k in ("x", "y") if k in archive}
                       if isinstance(archive, np.lib.npyio.NpzFile) else {})
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise NpzFormatError(f"{path} is not a readable npz archive: "
                                  f"{exc}") from exc
-    missing = set(names) - set(arrays)
+    missing = {"x", "y"} - set(arrays)
     if missing:
         raise NpzFormatError(f"{path} holds no array {sorted(missing)}")
-    y = arrays["y"]
+    x, y = arrays["x"], arrays["y"]
     if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
         raise NpzFormatError(f"{path}: y must be (N,) integer labels, got "
                              f"{y.shape} {y.dtype}")
-    return arrays
-
-
-def load_npz(path):
-    """Read an npz archive's `x` (N, C, H, W) images and `y` (N,) labels."""
-    arrays = _npz_arrays(path, ("x", "y"))
-    x, y = arrays["x"], arrays["y"]
     if x.ndim != 4:
         raise NpzFormatError(f"{path}: x must be (N, C, H, W) images, got "
                              f"{x.shape}")
@@ -190,11 +167,6 @@ def _idx_sizes(fh, fmt, magic, what):
     return sizes
 
 
-def _idx_label_count(fh):
-    """The record count in the header of the IDX label file `fh`."""
-    return _idx_sizes(fh, ">ii", IDX_LABELS_MAGIC, "label")[0]
-
-
 def load_idx(images_path, labels_path):
     """Parse big-endian IDX image/label files; pixels scaled to [0,1]."""
     with open(images_path, "rb") as fh:
@@ -202,7 +174,7 @@ def load_idx(images_path, labels_path):
         raw = _read_exact(fh, n * rows * cols, "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
     with open(labels_path, "rb") as fh:
-        n_labels = _idx_label_count(fh)
+        n_labels, = _idx_sizes(fh, ">ii", IDX_LABELS_MAGIC, "label")
         raw = _read_exact(fh, n_labels, "label data")
     if n_labels != n:
         raise IdxCountMismatchError(

@@ -9,7 +9,7 @@ import numpy as np
 from .analysis import evaluate
 from .attack import AttackConfig
 from .checkpoint import atomic_open, save_checkpoint
-from .data import DatasetSpec, load_dataset, split_sizes
+from .data import DatasetSpec, load_dataset
 from .network import MiniCNN, ModelConfig, make_finetune_model
 from .schema import REQUIRED, check, integers, section, text
 from .training import (TrainConfig, require_val_split, run_training,
@@ -116,21 +116,50 @@ def stage(cfg, name):
     return train
 
 
-def require_stages(cfg, *names):
-    """Raise ConfigError, naming the key, unless each stage in `names` is
-    declared and its batch fits the train split of its data (source_data
-    or target_data: a partial batch is dropped, so a larger batch would
-    train no step), and ValueError naming the data if that data's
-    validation split is empty. Each command calls this once for the
-    stages it runs, before it writes anything."""
-    for name in names:
-        batch = stage(cfg, name).batch
+def check_data(cfg, data, stages, input_shape, model_from):
+    """Check the loaded (train, val) pairs `data`, keyed by their config
+    key, before anything is written. Raise ConfigError naming the key for
+    images whose (C, H, W) is not `input_shape`, the model.input_shape of
+    `model_from` ("the config" or "checkpoint PATH"), and for a batch of a
+    stage in `stages` larger than its data's train split (a partial batch
+    is dropped, so it would train no step); raise ValueError naming the
+    data if a stage's validation split is empty."""
+    for key, (train, _) in data.items():
+        shape = train[0].shape[1:]
+        if shape != input_shape:
+            raise ConfigError(f"{key.removesuffix('_data')} images are "
+                              f"{list(shape)}, but {model_from} has "
+                              f"model.input_shape {list(input_shape)}")
+    for name in stages:
         key = "source_data" if name == "pretrain" else "target_data"
-        n_train, n_val = split_sizes(getattr(cfg, key))
-        if batch > n_train:
+        (_, y_train), (_, y_val) = data[key]
+        batch = stage(cfg, name).batch
+        if batch > len(y_train):
             raise ConfigError(f"{name}: batch {batch} exceeds the "
-                              f"{n_train} images of {key}'s train split")
-        require_val_split(n_val, key)
+                              f"{len(y_train)} images of {key}'s train "
+                              "split")
+        require_val_split(len(y_val), key)
+
+
+def load_data(cfg, stages, input_shape, model_from):
+    """(target, source): the (train, val) pairs of `cfg`'s datasets that
+    the stages in `stages` train on, each loaded once and passed through
+    `check_data`. "pretrain" uses the source, and "finetune" the target
+    and, for `joint`, the source; a dataset no stage uses is None. A
+    stage the config does not declare, or `joint` without source_data,
+    raises ConfigError before anything is loaded."""
+    for name in stages:
+        stage(cfg, name)
+    joint = "finetune" in stages and cfg.finetune.method == "joint"
+    if joint and cfg.source_data is None:
+        raise ConfigError("joint fine-tuning needs source_data")
+    data = {}
+    if "finetune" in stages:
+        data["target_data"] = load_dataset(cfg.target_data)
+    if "pretrain" in stages or joint:
+        data["source_data"] = load_dataset(cfg.source_data)
+    check_data(cfg, data, stages, input_shape, model_from)
+    return data.get("target_data"), data.get("source_data")
 
 
 def write_metrics(history, path):
@@ -179,24 +208,11 @@ def _source_model_config(cfg):
                                source_classes=0)
 
 
-def joint_source(cfg):
-    """The source (train, val) pair `joint` fine-tuning draws from, or
-    None for every other method. Load it once per command and pass it to
-    `run_pretrain` and to `run_finetune` for every seed."""
-    if cfg.finetune.method != "joint":
-        return None
-    if cfg.source_data is None:
-        raise ConfigError("joint fine-tuning needs source_data")
-    return load_dataset(cfg.source_data)
-
-
-def run_pretrain(cfg, out_dir=None, source=None):
-    """Robust source-task pre-training from random init; returns the
-    trained model and writes a checkpoint when out_dir is given.
-
-    `source` is the (train, val) pair of `cfg.source_data` when the
-    caller has already loaded it."""
-    train, val = load_dataset(cfg.source_data) if source is None else source
+def run_pretrain(cfg, source, out_dir=None):
+    """Robust source-task pre-training from random init on `source`, the
+    (train, val) pair of `cfg.source_data`; returns the trained model and
+    writes a checkpoint when out_dir is given."""
+    train, val = source
     model = MiniCNN(_source_model_config(cfg),
                     rng=np.random.default_rng(cfg.pretrain.seed))
     model, history = run_training(cfg.pretrain, train, val, model)
@@ -213,9 +229,9 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
                  tag=""):
     """Warmup (optional) plus fine-tuning for one seed.
 
-    `target` is the (train, val) pair `load_dataset(cfg.target_data)`
-    returns, and `source` the pair `joint_source(cfg)` returns; both are
-    only read, so one load can serve every seed.
+    `target` and `source` are the pairs `load_data` returns; `source` is
+    None unless the method is `joint`. Both are only read, so one load
+    can serve every seed.
     """
     train, val = target
     ft = dataclasses.replace(cfg.finetune, seed=seed)
@@ -240,20 +256,21 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
 def run_experiment(cfg):
     """Full pipeline of the ExperimentConfig `cfg`: optional pre-training,
     then per-seed warmup, fine-tuning and evaluation. Artifacts land in
-    `cfg.out_dir`, which is made only once every stage has passed
-    `require_stages`."""
-    require_stages(cfg, *(("finetune",) if cfg.pretrain is None
-                          else ("pretrain", "finetune")))
-    source = joint_source(cfg)
+    `cfg.out_dir`, which is made only once `load_data` has loaded and
+    checked the data of every stage."""
+    target, source = load_data(
+        cfg, ("finetune",) if cfg.pretrain is None
+        else ("pretrain", "finetune"), cfg.model.input_shape, "the config")
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.pretrain is not None:
-        pretrained, _ = run_pretrain(cfg, out_dir=cfg.out_dir, source=source)
+        pretrained, _ = run_pretrain(cfg, source, out_dir=cfg.out_dir)
     else:
         pretrained = MiniCNN(_source_model_config(cfg) if cfg.source_data
                              else dataclasses.replace(cfg.model,
                                                       source_classes=0),
                              rng=np.random.default_rng(cfg.finetune.seed))
-    target = load_dataset(cfg.target_data)
+    if cfg.finetune.method != "joint":
+        source = None  # not held through fine-tuning
     results = {}
     for seed in cfg.seeds:
         model, history = run_finetune(cfg, pretrained, seed, target, source,

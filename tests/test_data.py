@@ -7,7 +7,7 @@ import pytest
 from twins_lab.data import (DatasetSpec, IdxCountMismatchError,
                             IdxFormatError, gen_synthetic_dataset,
                             load_dataset, load_idx, save_idx,
-                            split_sizes, split_train_val)
+                            split_train_val, val_count)
 
 
 def test_spec_validation():
@@ -198,6 +198,8 @@ def test_idx_rejects_every_header_flip_cut_and_extra_byte(tmp_path):
 @pytest.mark.parametrize("source", ["synthetic", "idx-files", "npz"])
 def test_val_split_size_counts_what_load_dataset_splits(tmp_path, source,
                                                         fraction):
+    """`val_count`, which `gen-data` prints, sizes the (train, val) split
+    `load_dataset` reads back from each source."""
     spec = DatasetSpec(classes=3, image_shape=(1, 4, 4), per_class=7, seed=4,
                        val_fraction=fraction)
     x, y = gen_synthetic_dataset(spec)
@@ -210,18 +212,5 @@ def test_val_split_size_counts_what_load_dataset_splits(tmp_path, source,
         np.savez(spec.images_path, x=x, y=y)
     spec.source = source
     train, val = load_dataset(spec)
-    assert split_sizes(spec) == (len(train[1]), len(val[1]))
-
-
-def test_val_split_size_reads_no_idx_image(tmp_path):
-    """The count comes from the label header alone."""
-    images, labels = str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")
-    save_idx(np.zeros((8, 1, 2, 2)), np.zeros(8, np.int64), images, labels)
-    with open(images, "wb") as fh:
-        fh.write(b"not an IDX file")
-    spec = DatasetSpec(source="idx-files", classes=2, image_shape=(1, 2, 2),
-                       images_path=images, labels_path=labels,
-                       val_fraction=0.25)
-    assert split_sizes(spec) == (6, 2)
-    with pytest.raises(IdxFormatError):
-        load_dataset(spec)
+    n_val = val_count(len(y), fraction)
+    assert (len(train[1]), len(val[1])) == (len(y) - n_val, n_val)

@@ -699,7 +699,91 @@ def test_cli_run_rejects_npz_pixels_outside_the_unit_range(tmp_path, capsys,
     assert main(["run", _write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {archive}: pixels must be finite")
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
+
+
+def test_cli_run_loads_its_target_before_pre_training(tmp_path, capsys,
+                                                      monkeypatch):
+    """A target that fails to load stops `run` before the source stage
+    trains or writes anything, `pretrained.ckpt` included."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    archive = str(tmp_path / "data.npz")
+    np.savez(archive, x=np.full((48, 3, 8, 8), -0.5), y=np.arange(48) % 2)
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))
+    cfg["target_data"] = {"source": "npz", "classes": 2,
+                          "images_path": archive}
+    assert main(["run", _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {archive}: pixels must be finite")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _npz_data(tmp_path, shape):
+    """An npz spec of 48 images of `shape` and labels 0, 1."""
+    path = str(tmp_path / "data.npz")
+    x = np.random.default_rng(0).uniform(size=(48, *shape))
+    np.savez(path, x=x, y=np.arange(48) % 2)
+    return {"source": "npz", "classes": 2, "images_path": path}
+
+
+def _idx_data(tmp_path, shape):
+    """An idx-files spec of 48 images of `shape` and labels 0, 1."""
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    save_idx(np.random.default_rng(0).uniform(size=(48, *shape)),
+             np.arange(48) % 2, ip, lp)
+    return {"source": "idx-files", "classes": 2, "images_path": ip,
+            "labels_path": lp}
+
+
+@pytest.mark.parametrize("command, input_shape, key, data, shape", [
+    ("run", [3, 16, 16], "target_data", _npz_data, [3, 8, 8]),
+    ("run", [3, 8, 8], "target_data", _npz_data, [1, 8, 8]),
+    ("pretrain", [1, 16, 16], "source_data", _idx_data, [1, 8, 8]),
+    ("finetune", [3, 8, 8], "source_data", _npz_data, [3, 4, 4]),
+], ids=["run-size", "run-channels", "pretrain-idx", "joint-source"])
+def test_cli_checks_loaded_images_against_the_model(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    input_shape, key, data,
+                                                    shape):
+    """Only a synthetic spec's image_shape is checked with the config, so
+    a file's images are checked once loaded, against the config's model
+    (`run`, `pretrain`) or the checkpoint's (`finetune`), before anything
+    is trained or written."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))
+    cfg["model"]["input_shape"] = input_shape
+    cfg["target_data"]["image_shape"] = input_shape
+    cfg = _with_pretrain(cfg)
+    cfg[key] = data(tmp_path, shape)
+    argv = [command, _write_config(tmp_path, cfg)]
+    model = "the config"
+    if command == "finetune":
+        ckpt = _source_checkpoint(tmp_path, cfg)
+        argv += ["--method", "joint", "--checkpoint", ckpt]
+        model = f"checkpoint {ckpt}"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key.removesuffix('_data')} images are "
+                          f"{shape}, but {model} has model.input_shape "
+                          f"{input_shape}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_eval_checks_its_seed(tmp_path, capsys):
+    cfg = _base_config(str(tmp_path / "out"))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, MiniCNN(parse_config(cfg).model))
+    path = _write_config(tmp_path, cfg)
+    assert main(["eval", path, "--checkpoint", ckpt, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed (the attack's random "
+                                   "start) must be an integer >= 0, got -1")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 class _FakeLibc:
