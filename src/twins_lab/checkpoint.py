@@ -1,27 +1,28 @@
-"""Bit-exact binary checkpoint format for named tensors.
+"""Bit-exact binary checkpoint format for one MiniCNN.
 
-Layout: 8-byte magic "TWINSCKP", 4-byte little-endian header length, a
-UTF-8 JSON header {version, metadata, tensors:[{name, shape, dtype,
-offset, length}]}, then a raw little-endian payload. Offsets are
-relative to the payload start; the tensors lie back to back in record
-order and fill the payload exactly.
+Layout (format version 2): 8-byte magic "TWINSCKP", 4-byte little-endian
+header length, a UTF-8 JSON header {version, metadata} whose
+`metadata.model_config` is the model's ModelConfig, then the arrays of
+`MiniCNN(model_config).state_dict()` back to back in its order,
+little-endian in the config's dtype, then the 32-byte SHA-256 of every
+byte before it. The config fixes each array's name, shape and dtype, so
+the header lists none of them.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import json
-import math
 import os
 import struct
 
 import numpy as np
 
 from .network import MiniCNN, ModelConfig
-from .schema import is_int
 
 MAGIC = b"TWINSCKP"
-VERSION = 1
-_DTYPES = {"float32": "<f4", "float64": "<f8"}
+VERSION = 2
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 class CheckpointError(ValueError):
@@ -56,29 +57,34 @@ def atomic_open(path, mode, **kwargs):
         raise
 
 
-def save_tensors(path, tensors, metadata):
-    records = []
-    chunks = []
-    offset = 0
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        dtype = "float64" if arr.dtype == np.float64 else "float32"
-        raw = arr.astype(_DTYPES[dtype]).tobytes()
-        records.append({"name": name, "shape": list(arr.shape),
-                        "dtype": dtype, "offset": offset, "length": len(raw)})
-        chunks.append(raw)
-        offset += len(raw)
-    header = json.dumps({"version": VERSION, "metadata": metadata,
-                         "tensors": records}).encode("utf-8")
+def _payload_dtype(config):
+    return np.dtype(config.np_dtype()).newbyteorder("<")
+
+
+def save_checkpoint(path, model, metadata=None):
+    """Persist a model (parameters, both affine sets, all statistics). A
+    state whose arrays do not fit its model_config raises CheckpointError
+    naming the array, and no file is written."""
+    meta = dict(metadata or {})
+    meta["model_config"] = dataclasses.asdict(model.config)
+    # the file stores no shapes, so the state must be the one its config
+    # builds; load_state_dict names the first array that is not
+    fitted = MiniCNN(model.config)
+    try:
+        fitted.load_state_dict(model.state_dict())
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint tensor mismatch: {exc}") from exc
+    dtype = _payload_dtype(model.config)
+    header = json.dumps({"version": VERSION, "metadata": meta}).encode("utf-8")
+    body = b"".join([MAGIC, struct.pack("<I", len(header)), header] + [
+        arr.astype(dtype).tobytes() for arr in fitted.state_dict().values()])
     with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for raw in chunks:
-            fh.write(raw)
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
-def load_tensors(path):
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint; returns (model, metadata)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
@@ -99,60 +105,12 @@ def load_tensors(path):
     if header.get("version") != VERSION:
         raise BadVersionError(
             f"unsupported checkpoint version: {header.get('version')}")
-    records = header.get("tensors")
-    if not isinstance(records, list) or "metadata" not in header:
-        raise CheckpointError("checkpoint header lacks tensors or metadata")
-    payload = blob[header_end:]
-    tensors = {}
-    end = 0  # where the previous tensor's bytes end
-    for rec in records:
-        try:
-            name, shape, dtype, start, length = (
-                rec[k] for k in ("name", "shape", "dtype", "offset", "length"))
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(
-                f"malformed tensor record in checkpoint header: {rec!r}"
-            ) from exc
-        if not (isinstance(name, str) and isinstance(dtype, str)
-                and isinstance(shape, list) and all(map(is_int, shape))
-                and is_int(start) and is_int(length)):
-            raise CheckpointError(
-                f"tensor record has a field of the wrong type: {rec!r}")
-        if dtype not in _DTYPES:
-            raise CheckpointError(
-                f"tensor {name!r} has unknown dtype {dtype!r}")
-        if start < 0 or length < 0 or start + length > len(payload):
-            raise PayloadBoundsError(
-                f"tensor {name!r} lies outside the payload")
-        if start != end:
-            raise PayloadBoundsError(
-                f"tensor {name!r} does not start where the previous one ends")
-        end = start + length
-        itemsize = np.dtype(_DTYPES[dtype]).itemsize
-        # exact in Python ints, however large the header's extents
-        if (min(shape, default=0) < 0
-                or length != math.prod(shape) * itemsize):
-            raise PayloadBoundsError(
-                f"tensor {name!r} has inconsistent size")
-        arr = np.frombuffer(payload[start:start + length],
-                            dtype=_DTYPES[dtype])
-        tensors[name] = arr.reshape(shape).copy()
-    if end != len(payload):
-        raise PayloadBoundsError(
-            f"checkpoint has {len(payload) - end} bytes past its last tensor")
-    return tensors, header["metadata"]
-
-
-def save_checkpoint(path, model, metadata=None):
-    """Persist a model (parameters, both affine sets, all statistics)."""
-    meta = dict(metadata or {})
-    meta["model_config"] = dataclasses.asdict(model.config)
-    save_tensors(path, model.state_dict(), meta)
-
-
-def load_checkpoint(path):
-    """Rebuild a model from a checkpoint; returns (model, metadata)."""
-    tensors, meta = load_tensors(path)
+    payload_end = len(blob) - _DIGEST_SIZE
+    if (payload_end < header_end
+            or hashlib.sha256(blob[:payload_end]).digest()
+            != blob[payload_end:]):
+        raise CheckpointError(f"checkpoint {path} fails its SHA-256 checksum")
+    meta = header.get("metadata")
     mc = meta.get("model_config") if isinstance(meta, dict) else None
     if not isinstance(mc, dict):
         raise CheckpointError("checkpoint metadata has no model_config")
@@ -164,11 +122,18 @@ def load_checkpoint(path):
         cfg = ModelConfig(**{k: mc[k] for k in keys})
     except ValueError as exc:  # a value of the wrong type or range
         raise CheckpointError(f"checkpoint model_config: {exc}") from exc
-    model = MiniCNN(cfg, rng=np.random.default_rng(0))
-    try:
-        model.load_state_dict(tensors)
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint misses tensor {exc}") from exc
-    except ValueError as exc:  # a tensor of the wrong shape
-        raise CheckpointError(f"checkpoint tensor mismatch: {exc}") from exc
+    model = MiniCNN(cfg)
+    state = model.state_dict()
+    dtype = _payload_dtype(cfg)
+    need = sum(arr.size for arr in state.values()) * dtype.itemsize
+    if payload_end - header_end != need:
+        raise PayloadBoundsError(
+            f"checkpoint payload is {payload_end - header_end} bytes, but "
+            f"its model_config needs {need}")
+    at = header_end
+    for name, arr in state.items():
+        state[name] = np.frombuffer(blob, dtype, count=arr.size,
+                                    offset=at).reshape(arr.shape)
+        at += arr.size * dtype.itemsize
+    model.load_state_dict(state)
     return model, meta

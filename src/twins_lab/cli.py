@@ -104,6 +104,13 @@ def _cmd_eval(args):
         raise ConfigError(f"--seed (the attack's random start) must be an "
                           f"integer >= 0, got {seed}")
     model, meta = load_checkpoint(args.checkpoint)
+    # the config's own check is against its model section, which eval
+    # replaces with the checkpoint's
+    classes = model.config.target_classes
+    if cfg.target_data.classes > classes:
+        raise ConfigError(f"target_data: classes {cfg.target_data.classes} "
+                          f"exceeds model.target_classes {classes} of "
+                          f"checkpoint {args.checkpoint}")
     target = load_dataset(cfg.target_data)
     check_data(cfg, {"target_data": target}, (), model.config.input_shape,
                f"checkpoint {args.checkpoint}")

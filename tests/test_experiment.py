@@ -786,6 +786,43 @@ def test_cli_eval_checks_its_seed(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("epsilon", [None, 0.0], ids=["pgd", "clean"])
+def test_cli_eval_checks_target_classes_against_the_checkpoint(
+        tmp_path, capsys, epsilon):
+    """A 3-class target on a 2-class checkpoint once failed naming only
+    the labels or, with no attack to run, printed a clean accuracy."""
+    cfg = _base_config(str(tmp_path / "out"))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, MiniCNN(parse_config(cfg).model))  # 2 classes
+    cfg["model"]["target_classes"] = 3
+    cfg["target_data"]["classes"] = 3
+    if epsilon is not None:
+        cfg["eval_attack"] = dict(cfg["finetune"]["attack"], epsilon=epsilon)
+    path = _write_config(tmp_path, cfg)
+    assert main(["eval", path, "--checkpoint", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: target_data: classes 3 exceeds model.target_classes 2 of "
+        f"checkpoint {ckpt}")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "finetune"])
+def test_cli_joint_needs_source_data(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))  # declares no source_data
+    argv = [command, _write_config(tmp_path, cfg), "--method", "joint"]
+    if command == "finetune":
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, MiniCNN(parse_config(cfg).model))
+        argv += ["--checkpoint", ckpt]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: joint fine-tuning needs source_data")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class _FakeLibc:
     """A C library whose mallopt returns `result` and records its calls."""
 
