@@ -15,6 +15,7 @@ from .data import load_dataset, load_records, save_idx, val_count
 from .experiment import (ConfigError, check_data, load_config, load_data,
                          read_metrics, run_experiment, run_finetune,
                          run_pretrain, stage)
+from .training import METHODS
 
 
 def _load_config(args, seed_key=None):
@@ -42,6 +43,17 @@ def _load_config(args, seed_key=None):
             raise ConfigError(f"{section}: {exc}" if section else str(exc)) \
                 from exc
     return cfg
+
+
+def _check_classes(spec, key, model, ckpt):
+    """ConfigError naming both keys and `ckpt` if the dataset `spec`, the
+    config's `key`, has more classes than the target head of `model`, read
+    from `ckpt` in place of the model the config's own check knows."""
+    classes = model.config.target_classes
+    if spec.classes > classes:
+        raise ConfigError(f"{key}: classes {spec.classes} exceeds "
+                          f"model.target_classes {classes} of checkpoint "
+                          f"{ckpt}")
 
 
 def _cmd_gen_data(args):
@@ -83,6 +95,9 @@ def _cmd_finetune(args):
     cfg = _load_config(args, "seeds")
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)
+    # joint trains the checkpoint's target head on the source data
+    if METHODS[cfg.finetune.method].joint and cfg.source_data is not None:
+        _check_classes(cfg.source_data, "source_data", pretrained, ckpt)
     target, source = load_data(cfg, ("finetune",),
                                pretrained.config.input_shape,
                                f"checkpoint {ckpt}")
@@ -104,13 +119,7 @@ def _cmd_eval(args):
         raise ConfigError(f"--seed (the attack's random start) must be an "
                           f"integer >= 0, got {seed}")
     model, meta = load_checkpoint(args.checkpoint)
-    # the config's own check is against its model section, which eval
-    # replaces with the checkpoint's
-    classes = model.config.target_classes
-    if cfg.target_data.classes > classes:
-        raise ConfigError(f"target_data: classes {cfg.target_data.classes} "
-                          f"exceeds model.target_classes {classes} of "
-                          f"checkpoint {args.checkpoint}")
+    _check_classes(cfg.target_data, "target_data", model, args.checkpoint)
     target = load_dataset(cfg.target_data)
     check_data(cfg, {"target_data": target}, (), model.config.input_shape,
                f"checkpoint {args.checkpoint}")

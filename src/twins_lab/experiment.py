@@ -12,8 +12,7 @@ from .checkpoint import atomic_open, save_checkpoint
 from .data import DatasetSpec, load_dataset
 from .network import MiniCNN, ModelConfig, make_finetune_model
 from .schema import REQUIRED, check, integers, section, text
-from .training import (TrainConfig, require_val_split, run_training,
-                       warmup_bn)
+from .training import METHODS, TrainConfig, run_training, warmup_bn
 
 METRICS_HEADER = ("epoch,lr,train_loss,clean_acc,pgd_acc,"
                   "grad_norm_mean,grad_norm_cv,weight_dist")
@@ -138,7 +137,10 @@ def check_data(cfg, data, stages, input_shape, model_from):
             raise ConfigError(f"{name}: batch {batch} exceeds the "
                               f"{len(y_train)} images of {key}'s train "
                               "split")
-        require_val_split(len(y_val), key)
+        if len(y_val) == 0:
+            raise ValueError(f"the validation split is empty: raise {key}'s "
+                             "val_fraction so that it holds at least one "
+                             "image")
 
 
 def load_data(cfg, stages, input_shape, model_from):
@@ -150,7 +152,7 @@ def load_data(cfg, stages, input_shape, model_from):
     raises ConfigError before anything is loaded."""
     for name in stages:
         stage(cfg, name)
-    joint = "finetune" in stages and cfg.finetune.method == "joint"
+    joint = "finetune" in stages and METHODS[cfg.finetune.method].joint
     if joint and cfg.source_data is None:
         raise ConfigError("joint fine-tuning needs source_data")
     data = {}
@@ -269,7 +271,7 @@ def run_experiment(cfg):
                              else dataclasses.replace(cfg.model,
                                                       source_classes=0),
                              rng=np.random.default_rng(cfg.finetune.seed))
-    if cfg.finetune.method != "joint":
+    if not METHODS[cfg.finetune.method].joint:
         source = None  # not held through fine-tuning
     results = {}
     for seed in cfg.seeds:

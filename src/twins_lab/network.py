@@ -93,14 +93,18 @@ def bn_forward(x, state, mode):
     return batch_norm(x, gamma, beta, state.eps, stats)[0], None
 
 
+def bn_ema(old, batch, momentum):
+    """(1 - momentum) * old + momentum * batch, pair by pair: every BN EMA."""
+    return tuple((1.0 - momentum) * o + momentum * b
+                 for o, b in zip(old, batch))
+
+
 def bn_update_running(state, batch_stats):
-    """EMA update: new = (1-m)*old + m*batch, for mean and variance."""
+    """`bn_ema` of the running statistics with the (mean, var) batch pair."""
     if batch_stats is None:
         raise ValueError("batch statistics required for a running update")
-    mean, var = batch_stats
-    m = state.momentum
-    state.running_mean = (1.0 - m) * state.running_mean + m * mean
-    state.running_var = (1.0 - m) * state.running_var + m * var
+    state.running_mean, state.running_var = bn_ema(
+        (state.running_mean, state.running_var), batch_stats, state.momentum)
 
 
 class MiniCNN:
@@ -210,22 +214,6 @@ class MiniCNN:
                         f"shape mismatch for {name!r}: {arr.shape}, "
                         f"expected ({state.channels},)")
                 setattr(state, stat, arr.copy())
-
-    def trainable_names(self, method="at"):
-        """Parameters touched by a training method.
-
-        Frozen-branch affines only train under the twins methods; the
-        source head only trains under `joint`.
-        """
-        names = []
-        twins = method.startswith("twins")
-        for name in self.params.names():
-            if name.endswith((".gamma_f", ".beta_f")) and not twins:
-                continue
-            if name.startswith("src_head") and method != "joint":
-                continue
-            names.append(name)
-        return names
 
 
 def predict(model, x, mode, head="target"):

@@ -10,12 +10,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import AttackConfig, pgd_attack
-from .network import BranchMode, copy_model, predict
+from .network import BranchMode, bn_ema, copy_model, predict
 from .schema import check, choice, integer, integers, number, section
 from .tensor import (backprop, feature_distance, kl_div_logits,
                      softmax_cross_entropy, untracked)
 
-METHODS = ("std", "at", "trades", "twins-at", "twins-trades", "lwf", "joint")
+
+@dataclass(frozen=True)
+class Method:
+    """How a training method departs from CE on its clean batch."""
+    attack: bool = True  # its wings see PGD examples of the batch
+    trades: bool = False  # each wing adds beta * KL(adv || clean)
+    twins: bool = False  # even batches, half through the Frozen branch
+    lwf: bool = False  # adds the feature distance to a pre-trained copy
+    joint: bool = False  # adds the source-task CE, training the source head
+
+
+METHODS = {  # in the order config messages list them
+    "std": Method(attack=False),
+    "at": Method(),
+    "trades": Method(trades=True),
+    "twins-at": Method(twins=True),
+    "twins-trades": Method(trades=True, twins=True),
+    "lwf": Method(lwf=True),
+    "joint": Method(joint=True),
+}
 
 
 @dataclass
@@ -28,7 +47,7 @@ class TrainConfig:
     lambda_lwf: float = number(0.01)
     lambda_uot: float = number(0.01)
     beta: float = number(6.0)
-    batch: int = integer(64, least=1)
+    batch: int = integer(64, least=2)
     epochs: int = integer(20, least=1)
     milestones: tuple = integers((10, 16))
     decay: float = number(0.1)
@@ -38,7 +57,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check(self)
-        if self.method.startswith("twins") and self.batch % 2 != 0:
+        if METHODS[self.method].twins and self.batch % 2 != 0:
             raise ValueError("twins methods need an even batch size")
 
 
@@ -87,18 +106,18 @@ def sgd_update(params, grads, velocity, rate, lambda_wd, momentum,
         p.data = p.data - rate * v
 
 
-def _wing(model, x, adv, y, mode, cfg, update_running):
+def _wing(model, x, adv, y, mode, beta, update_running):
     """One branch's loss on one (sub-)batch: mean CE on the adversarial
-    inputs, plus beta-weighted KL(adv || clean) for the trades methods.
+    inputs, plus beta-weighted KL(adv || clean) unless `beta` is None.
     Returns the loss and the adversarial features."""
-    trades = cfg.method.endswith("trades")
+    trades = beta is not None
     if trades:
         _, clean = model.forward(x, mode, update_running=update_running)
     feats, logits = model.forward(adv, mode,
                                   update_running=update_running and not trades)
     loss = softmax_cross_entropy(logits, y)
     if trades:
-        loss = loss + cfg.beta * kl_div_logits(logits, clean)
+        loss = loss + beta * kl_div_logits(logits, clean)
     return loss, feats
 
 
@@ -129,66 +148,71 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
                               capture=capture)
             for i, state in enumerate(model.bn, start=1):
                 pre = capture[f"bn{i}.pre"]
-                mean = pre.mean(axis=(0, 2, 3))
-                var = pre.var(axis=(0, 2, 3))
-                m = state.momentum
-                state.frozen_mean = (1.0 - m) * state.frozen_mean + m * mean
-                state.frozen_var = (1.0 - m) * state.frozen_var + m * var
+                state.frozen_mean, state.frozen_var = bn_ema(
+                    (state.frozen_mean, state.frozen_var),
+                    (pre.mean(axis=(0, 2, 3)), pre.var(axis=(0, 2, 3))),
+                    state.momentum)
             # frees the frozen pass's activations before the next attack
             del capture
 
 
 def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
                update_running=True):
-    """The objective of `cfg.method` on one mini-batch.
+    """The objective of the method `METHODS[cfg.method]` on one mini-batch.
 
-    std is the clean CE. Every other method attacks the Adaptive branch
-    once, unless `adv` is given, and applies one wing to the batch. The
-    twins methods apply it to the first half through the Adaptive branch
-    plus, weighted by lambda_twins, to the second half through the Frozen
-    branch. lwf adds a feature-distance penalty to the pre-trained copy
-    `aux["pretrained"]`; joint adds the source-task CE on a batch from
-    `aux["source_batch"]`, attacked through the source head.
+    A method that attacks does so once, on the Adaptive branch, unless
+    `adv` is given. A twins method applies its wing to the first half
+    through the Adaptive branch plus, weighted by lambda_twins, to the
+    second half through the Frozen branch; any other applies it to the
+    batch and adds its extra term: lwf a feature-distance penalty to the
+    pre-trained copy `aux["pretrained"]`, joint the source-task CE on a
+    batch from `aux["source_batch"]`, attacked through the source head.
     """
-    method = cfg.method
-    if method not in METHODS:
-        raise ValueError(f"unknown training method: {method!r}")
-    twins = method.startswith("twins")
-    if twins and len(yb) % 2 != 0:
+    method = METHODS.get(cfg.method)
+    if method is None:
+        raise ValueError(f"unknown training method: {cfg.method!r}")
+    if method.twins and len(yb) % 2 != 0:
         raise ValueError("twins losses need an even batch")
-    if method == "joint":
+    if method.joint:
         if "src_head.w" not in model.params:
             raise ValueError("joint training needs a source-task head")
         # drawn before the target attack, which also consumes `rng`
         xs, ys = aux["source_batch"](len(yb))
-    if method == "std":
+    if not method.attack:
         adv = xb
     elif adv is None:
         adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xb, yb, cfg.attack,
                          rng)
-    if twins:
+    beta = cfg.beta if method.trades else None
+    if method.twins:
         half = len(yb) // 2
         la, _ = _wing(model, xb[:half], adv[:half], yb[:half],
-                      BranchMode.ADAPTIVE_TRAIN, cfg, update_running)
+                      BranchMode.ADAPTIVE_TRAIN, beta, update_running)
         lf, _ = _wing(model, xb[half:], adv[half:], yb[half:],
-                      BranchMode.FROZEN_TRAIN, cfg, False)
+                      BranchMode.FROZEN_TRAIN, beta, False)
         return la + cfg.lambda_twins * lf
-    loss, feats = _wing(model, xb, adv, yb, BranchMode.ADAPTIVE_TRAIN, cfg,
+    loss, feats = _wing(model, xb, adv, yb, BranchMode.ADAPTIVE_TRAIN, beta,
                         update_running)
-    if method == "lwf" and cfg.lambda_lwf != 0.0:
+    if method.lwf and cfg.lambda_lwf != 0.0:
         pretrained = aux["pretrained"]
-        if pretrained.feature_width != model.feature_width:
-            raise ValueError("feature width mismatch with the pre-trained copy")
         with untracked(pretrained.params):
             ref, _ = pretrained.forward(adv, BranchMode.INFERENCE)
         loss = loss + cfg.lambda_lwf * feature_distance(feats, ref.data)
-    if method == "joint" and cfg.lambda_uot != 0.0:
+    if method.joint and cfg.lambda_uot != 0.0:
         adv_src = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xs, ys,
                              cfg.attack, rng, head="source")
         _, logits = model.forward(adv_src, BranchMode.ADAPTIVE_TRAIN,
                                   head="source")
         loss = loss + cfg.lambda_uot * softmax_cross_entropy(logits, ys)
     return loss
+
+
+def trainable_names(model, method):
+    """The names of the parameters of `model` that `method` trains."""
+    m = METHODS[method]
+    return [name for name in model.params.names()
+            if (m.twins or not name.endswith((".gamma_f", ".beta_f")))
+            and (m.joint or not name.startswith("src_head"))]
 
 
 def flat_grad_norm(grads, names):
@@ -199,34 +223,26 @@ def flat_grad_norm(grads, names):
     return float(np.sqrt(total))
 
 
-def require_val_split(n_val, data="the dataset"):
-    """Raise ValueError if the validation split of `data` holds no image
-    (`n_val` is its size)."""
-    if n_val == 0:
-        raise ValueError(f"the validation split is empty: raise {data}'s "
-                         "val_fraction so that it holds at least one image")
-
-
 def run_training(cfg, train_data, val_data, model, source_data=None):
     """The per-epoch / per-batch loop; returns (model, history).
 
     `train_data`/`val_data` are (x, y) pairs of arrays. Robust
     pre-training is this same loop with method "at" from random init.
-    An empty validation split fails before the first epoch.
+    An empty validation split fails in `evaluate`, after the first epoch.
     """
     from .analysis import evaluate, grad_norm_epoch_stats, weight_distance
 
-    require_val_split(len(val_data[1]))
     x_train, y_train = train_data
     rng = np.random.default_rng(cfg.seed)
-    names = model.trainable_names(cfg.method)
+    names = trainable_names(model, cfg.method)
     init_params = {n: model.params[n].data.copy() for n in names}
     velocity = {}
 
     aux = {}
-    if cfg.method == "lwf":
+    method = METHODS[cfg.method]
+    if method.lwf:
         aux["pretrained"] = copy_model(model)
-    if cfg.method == "joint":
+    if method.joint:
         if source_data is None:
             raise ValueError("joint training needs source data")
         xs_all, ys_all = source_data

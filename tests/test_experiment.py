@@ -12,9 +12,9 @@ from twins_lab.cli import main
 from twins_lab.experiment import (METRICS_HEADER, ConfigError, load_config,
                                   parse_config, read_metrics, run_experiment,
                                   write_metrics)
-from twins_lab.checkpoint import save_checkpoint
+from twins_lab.checkpoint import load_checkpoint, save_checkpoint
 from twins_lab.data import NpzFormatError, load_dataset, save_idx
-from twins_lab.network import MiniCNN
+from twins_lab.network import MiniCNN, make_finetune_model
 from twins_lab.training import DivergenceError, EpochRecord, run_training
 
 
@@ -805,6 +805,52 @@ def test_cli_eval_checks_target_classes_against_the_checkpoint(
         "error: target_data: classes 3 exceeds model.target_classes 2 of "
         f"checkpoint {ckpt}")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("fine_tuned", [False, True],
+                         ids=["pretrained", "fine-tuned"])
+def test_cli_joint_checks_source_classes_against_the_checkpoint(
+        tmp_path, capsys, monkeypatch, fine_tuned):
+    """joint trains the checkpoint's target head on source_data, so a
+    3-class source on a 2-class head once failed naming only the labels,
+    after the output directory was made."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))  # 2 source classes
+    ckpt = _source_checkpoint(tmp_path, cfg)
+    if fine_tuned:
+        model = make_finetune_model(load_checkpoint(ckpt)[0], 2)
+        ckpt = str(tmp_path / "finetuned.ckpt")
+        save_checkpoint(ckpt, model)
+    cfg["source_data"]["classes"] = 3
+    argv = ["finetune", _write_config(tmp_path, cfg), "--method", "joint",
+            "--checkpoint", ckpt]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: source_data: classes 3 exceeds "
+                          f"model.target_classes 2 of checkpoint {ckpt}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("pretrain", "pretrain"), ("run", "finetune")])
+def test_cli_rejects_a_batch_of_one(tmp_path, capsys, monkeypatch, command,
+                                    stage):
+    """Every method trains through the Adaptive branch, whose batch
+    statistics need two images; a batch of 1 once failed there, naming
+    no key, after the output directory was made."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    monkeypatch.setattr(experiment, "warmup_bn", _no_training)
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))
+    cfg[stage]["batch"] = 1
+    assert main([command, _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: batch must be an integer >= 2")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "finetune"])

@@ -218,17 +218,6 @@ def test_frozen_stats_untouched_by_training():
                for k, v in running_before.items())
 
 
-def test_trainable_names_per_method():
-    model = _model(source_classes=4)
-    at_names = set(model.trainable_names("at"))
-    twins_names = set(model.trainable_names("twins-at"))
-    joint_names = set(model.trainable_names("joint"))
-    assert not any(n.endswith((".gamma_f", ".beta_f")) for n in at_names)
-    assert any(n.endswith(".gamma_f") for n in twins_names)
-    assert "src_head.w" not in at_names
-    assert "src_head.w" in joint_names
-
-
 def test_head_selection_and_errors():
     model = _model(source_classes=0)
     with pytest.raises(ValueError):

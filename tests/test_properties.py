@@ -578,7 +578,7 @@ _RANGED_KEYS = (
         "eta", "lambda_wd", "momentum", "lambda_twins", "lambda_lwf",
         "lambda_uot", "beta", "decay")]
     + [(("finetune",), key, bad) for key, bad in (
-        ("method", _text_not_in(METHODS)), ("batch", _ints_below(1)),
+        ("method", _text_not_in(METHODS)), ("batch", _ints_below(2)),
         ("epochs", _ints_below(1)), ("seed", _ints_below(0)),
         ("warmup_epochs", _ints_below(0)))]
     + [(("finetune", "attack"), key, bad) for key, bad in (

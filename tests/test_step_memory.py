@@ -13,7 +13,8 @@ from twins_lab import attack, tensor
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig, predict
 from twins_lab.tensor import Tensor, backprop, batch_norm, conv2d, untracked
-from twins_lab.training import TrainConfig, batch_loss, run_training
+from twins_lab.training import (TrainConfig, batch_loss, run_training,
+                                trainable_names)
 
 # a loop that keeps one step's graph while it builds the next reads
 # 1.4-1.7x here; one that frees it first reads 1.04-1.08x
@@ -67,7 +68,7 @@ def test_training_loop_peaks_at_one_step():
     model = _model()
     cfg = _std_config(64)
     train, val = _data(4 * 64), _data(8, seed=1)
-    names = model.trainable_names(cfg.method)
+    names = trainable_names(model, cfg.method)
 
     def one_step():
         loss = batch_loss(model, train[0][:64], train[1][:64], cfg,
@@ -193,7 +194,7 @@ def test_training_step_peaks_under_a_per_image_bound():
     model = _model()
     x, y = _data(64)
     cfg = _std_config(64)
-    names = model.trainable_names(cfg.method)
+    names = trainable_names(model, cfg.method)
 
     def step():
         loss = batch_loss(model, x, y, cfg, np.random.default_rng(0))

@@ -10,7 +10,8 @@ from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, copy_model,
 from twins_lab.tensor import (ParamStore, Tensor, backprop, feature_distance,
                               softmax_cross_entropy)
 from twins_lab.training import (METHODS, TrainConfig, batch_loss, lr_at_epoch,
-                                run_training, sgd_update, warmup_bn)
+                                run_training, sgd_update, trainable_names,
+                                warmup_bn)
 
 ATTACK = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=3,
                       rand_init=False)
@@ -68,7 +69,7 @@ def test_batch_graph_is_freed_without_the_cyclic_collector(method):
     gc.disable()
     try:
         loss = batch_loss(model, x, y, cfg, np.random.default_rng(2), aux)
-        backprop(loss, model.params, model.trainable_names(method))
+        backprop(loss, model.params, trainable_names(model, method))
         del loss
         assert gc.collect() == 0
     finally:
@@ -195,6 +196,24 @@ def test_lwf_zero_penalty_reduces_to_at_bitwise():
     assert lwf.item() == plain.item()
 
 
+def test_lwf_penalty_adds_the_feature_distance():
+    """lwf's loss is at's plus lambda_lwf times the distance from the
+    adversarial features to the pre-trained copy's."""
+    model = _finetune_model(seed=4)
+    x, y = _batch(seed=4)
+    adv = _shared_adv(model, x, y)
+    pretrained = copy_model(model)
+    lwf = _loss(model, x, y, adv, "lwf", {"pretrained": pretrained},
+                lambda_lwf=0.5)
+    plain = _loss(model, x, y, adv, "at")
+    feats, _ = model.forward(adv, BranchMode.ADAPTIVE_TRAIN)
+    ref, _ = pretrained.forward(adv, BranchMode.INFERENCE)
+    distance = feature_distance(feats, ref.data).item()
+    assert distance > 0
+    assert lwf.item() == pytest.approx(plain.item() + 0.5 * distance,
+                                       rel=1e-12)
+
+
 def test_joint_zero_penalty_reduces_to_at_bitwise():
     model = _finetune_model(seed=5)
     x, y = _batch(seed=5)
@@ -243,6 +262,27 @@ def test_joint_requires_source_head():
     with pytest.raises(ValueError, match="source-task head"):
         batch_loss(model, x, y, tcfg, None,
                    {"source_batch": lambda n: (x[:n], y[:n])})
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trainable_names_per_method(method):
+    """The frozen affines train iff the method is twins, which also needs
+    an even batch; the source head trains iff it is joint; every other
+    parameter trains under every method."""
+    model = _finetune_model()
+    frozen = {f"bn{i}.{p}" for i in (1, 2) for p in ("gamma_f", "beta_f")}
+    source = {"src_head.w", "src_head.b"}
+    every = set(model.params.names())
+    assert frozen | source < every
+    twins = method.startswith("twins")
+    expected = ((every - frozen - source) | (frozen if twins else set())
+                | (source if method == "joint" else set()))
+    assert set(trainable_names(model, method)) == expected
+    if twins:
+        with pytest.raises(ValueError, match="even batch"):
+            TrainConfig(method=method, batch=9)
+    else:
+        assert TrainConfig(method=method, batch=9).batch == 9
 
 
 def test_batch_loss_rejects_unknown_method():
