@@ -11,11 +11,10 @@ import numpy as np
 
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import atomic_open, load_checkpoint
-from .data import load_dataset, load_records, save_idx, val_count
-from .experiment import (ConfigError, check_data, load_config, load_data,
-                         read_metrics, run_experiment, run_finetune,
-                         run_pretrain, stage)
-from .training import METHODS
+from .data import load_records, save_idx, val_count
+from .experiment import (ConfigError, load_config, load_data,
+                         pretrained_config, read_metrics, run_experiment,
+                         run_finetune, run_pretrain, stage)
 
 
 def _load_config(args, seed_key=None):
@@ -45,17 +44,6 @@ def _load_config(args, seed_key=None):
     return cfg
 
 
-def _check_classes(spec, key, model, ckpt):
-    """ConfigError naming both keys and `ckpt` if the dataset `spec`, the
-    config's `key`, has more classes than the target head of `model`, read
-    from `ckpt` in place of the model the config's own check knows."""
-    classes = model.config.target_classes
-    if spec.classes > classes:
-        raise ConfigError(f"{key}: classes {spec.classes} exceeds "
-                          f"model.target_classes {classes} of checkpoint "
-                          f"{ckpt}")
-
-
 def _cmd_gen_data(args):
     """Write each dataset's records in `load_dataset`'s pre-split order, so
     an "npz" or "idx-files" spec with the same seed and val_fraction reads
@@ -82,10 +70,10 @@ def _cmd_gen_data(args):
 
 def _cmd_pretrain(args):
     cfg = _load_config(args, "pretrain.seed")
-    _, source = load_data(cfg, ("pretrain",), cfg.model.input_shape,
+    _, source = load_data(cfg, ("pretrain",), pretrained_config(cfg),
                           "the config")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _, history = run_pretrain(cfg, source, out_dir=cfg.out_dir)
+    _, history = run_pretrain(cfg, source)
     print(f"pre-training done: final clean acc {history[-1].clean_acc:.3f}, "
           f"pgd acc {history[-1].pgd_acc:.3f}")
     return 0
@@ -95,16 +83,11 @@ def _cmd_finetune(args):
     cfg = _load_config(args, "seeds")
     ckpt = args.checkpoint or os.path.join(cfg.out_dir, "pretrained.ckpt")
     pretrained, _ = load_checkpoint(ckpt)
-    # joint trains the checkpoint's target head on the source data
-    if METHODS[cfg.finetune.method].joint and cfg.source_data is not None:
-        _check_classes(cfg.source_data, "source_data", pretrained, ckpt)
-    target, source = load_data(cfg, ("finetune",),
-                               pretrained.config.input_shape,
+    target, source = load_data(cfg, ("finetune",), pretrained.config,
                                f"checkpoint {ckpt}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     for seed in cfg.seeds:
         _, history = run_finetune(cfg, pretrained, seed, target, source,
-                                  out_dir=cfg.out_dir,
                                   tag=cfg.finetune.method)
         print(f"seed {seed}: clean {history[-1].clean_acc:.3f}, "
               f"pgd {history[-1].pgd_acc:.3f}")
@@ -119,10 +102,8 @@ def _cmd_eval(args):
         raise ConfigError(f"--seed (the attack's random start) must be an "
                           f"integer >= 0, got {seed}")
     model, meta = load_checkpoint(args.checkpoint)
-    _check_classes(cfg.target_data, "target_data", model, args.checkpoint)
-    target = load_dataset(cfg.target_data)
-    check_data(cfg, {"target_data": target}, (), model.config.input_shape,
-               f"checkpoint {args.checkpoint}")
+    target, _ = load_data(cfg, ("eval",), model.config,
+                          f"checkpoint {args.checkpoint}")
     val = target[1]
     del target  # the train split is not held through evaluation
     clean, robust = evaluate(model, val, cfg.eval_attack,

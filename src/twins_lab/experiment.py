@@ -115,24 +115,47 @@ def stage(cfg, name):
     return train
 
 
-def check_data(cfg, data, stages, input_shape, model_from):
-    """Check the loaded (train, val) pairs `data`, keyed by their config
-    key, before anything is written. Raise ConfigError naming the key for
-    images whose (C, H, W) is not `input_shape`, the model.input_shape of
-    `model_from` ("the config" or "checkpoint PATH"), and for a batch of a
-    stage in `stages` larger than its data's train split (a partial batch
-    is dropped, so it would train no step); raise ValueError naming the
-    data if a stage's validation split is empty."""
+# the dataset each stage trains on or, for eval, attacks
+_READS = {"pretrain": "source_data", "finetune": "target_data",
+          "eval": "target_data"}
+
+
+def load_data(cfg, stages, model, model_from):
+    """(target, source): the (train, val) pairs of the datasets `stages`
+    read (`_READS`, and joint's source), each loaded once and checked
+    against `model`, the ModelConfig of `model_from` ("the config" or
+    "checkpoint PATH"); None for a dataset no stage reads. ConfigError,
+    naming the key, for an undeclared stage, joint without source_data,
+    or more classes than the head of `model` that reads them has (eval's
+    target, joint's source), before loading; then for images not of
+    model.input_shape, or a batch larger than its train split (it would
+    train no step). ValueError naming the key for an empty val split."""
+    batches = {name: stage(cfg, name).batch for name in stages
+               if name != "eval"}
+    heads = ["target_data"] if "eval" in stages else []
+    if "finetune" in stages and METHODS[cfg.finetune.method].joint:
+        if cfg.source_data is None:
+            raise ConfigError("joint fine-tuning needs source_data")
+        heads.append("source_data")  # joint trains model's head on it
+    for key in heads:
+        classes = getattr(cfg, key).classes
+        if classes > model.target_classes:
+            raise ConfigError(f"{key}: classes {classes} exceeds "
+                              f"model.target_classes {model.target_classes} "
+                              f"of {model_from}")
+    reads = {_READS[name] for name in stages} | set(heads)
+    data = {key: load_dataset(getattr(cfg, key))
+            for key in ("target_data", "source_data") if key in reads}
     for key, (train, _) in data.items():
         shape = train[0].shape[1:]
-        if shape != input_shape:
+        if shape != model.input_shape:
             raise ConfigError(f"{key.removesuffix('_data')} images are "
                               f"{list(shape)}, but {model_from} has "
-                              f"model.input_shape {list(input_shape)}")
+                              f"model.input_shape {list(model.input_shape)}")
     for name in stages:
-        key = "source_data" if name == "pretrain" else "target_data"
+        key = _READS[name]
         (_, y_train), (_, y_val) = data[key]
-        batch = stage(cfg, name).batch
+        batch = batches.get(name, 0)
         if batch > len(y_train):
             raise ConfigError(f"{name}: batch {batch} exceeds the "
                               f"{len(y_train)} images of {key}'s train "
@@ -141,26 +164,6 @@ def check_data(cfg, data, stages, input_shape, model_from):
             raise ValueError(f"the validation split is empty: raise {key}'s "
                              "val_fraction so that it holds at least one "
                              "image")
-
-
-def load_data(cfg, stages, input_shape, model_from):
-    """(target, source): the (train, val) pairs of `cfg`'s datasets that
-    the stages in `stages` train on, each loaded once and passed through
-    `check_data`. "pretrain" uses the source, and "finetune" the target
-    and, for `joint`, the source; a dataset no stage uses is None. A
-    stage the config does not declare, or `joint` without source_data,
-    raises ConfigError before anything is loaded."""
-    for name in stages:
-        stage(cfg, name)
-    joint = "finetune" in stages and METHODS[cfg.finetune.method].joint
-    if joint and cfg.source_data is None:
-        raise ConfigError("joint fine-tuning needs source_data")
-    data = {}
-    if "finetune" in stages:
-        data["target_data"] = load_dataset(cfg.target_data)
-    if "pretrain" in stages or joint:
-        data["source_data"] = load_dataset(cfg.source_data)
-    check_data(cfg, data, stages, input_shape, model_from)
     return data.get("target_data"), data.get("source_data")
 
 
@@ -204,32 +207,34 @@ def read_metrics(path):
     return rows
 
 
-def _source_model_config(cfg):
-    return dataclasses.replace(cfg.model,
-                               target_classes=cfg.source_data.classes,
+def pretrained_config(cfg):
+    """The ModelConfig of `cfg`'s pre-trained model: cfg.model with one
+    head, over source_data's classes if the config has source data."""
+    classes = (cfg.model.target_classes if cfg.source_data is None
+               else cfg.source_data.classes)
+    return dataclasses.replace(cfg.model, target_classes=classes,
                                source_classes=0)
 
 
-def run_pretrain(cfg, source, out_dir=None):
+def run_pretrain(cfg, source):
     """Robust source-task pre-training from random init on `source`, the
-    (train, val) pair of `cfg.source_data`; returns the trained model and
-    writes a checkpoint when out_dir is given."""
+    (train, val) pair of `cfg.source_data`; writes its checkpoint and
+    metrics to cfg.out_dir and returns (model, history)."""
     train, val = source
-    model = MiniCNN(_source_model_config(cfg),
+    model = MiniCNN(pretrained_config(cfg),
                     rng=np.random.default_rng(cfg.pretrain.seed))
     model, history = run_training(cfg.pretrain, train, val, model)
-    if out_dir is not None:
-        save_checkpoint(os.path.join(out_dir, "pretrained.ckpt"), model,
-                        {"stage": "pretrain", "method": cfg.pretrain.method,
-                         "seed": cfg.pretrain.seed,
-                         "epochs": cfg.pretrain.epochs})
-        write_metrics(history, os.path.join(out_dir, "pretrain_metrics.csv"))
+    save_checkpoint(os.path.join(cfg.out_dir, "pretrained.ckpt"), model,
+                    {"stage": "pretrain", "method": cfg.pretrain.method,
+                     "seed": cfg.pretrain.seed,
+                     "epochs": cfg.pretrain.epochs})
+    write_metrics(history, os.path.join(cfg.out_dir, "pretrain_metrics.csv"))
     return model, history
 
 
-def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
-                 tag=""):
-    """Warmup (optional) plus fine-tuning for one seed.
+def run_finetune(cfg, pretrained, seed, target, source=None, tag=""):
+    """Warmup (optional) plus fine-tuning for one seed, whose checkpoint
+    and metrics go to cfg.out_dir.
 
     `target` and `source` are the pairs `load_data` returns; `source` is
     None unless the method is `joint`. Both are only read, so one load
@@ -245,13 +250,11 @@ def run_finetune(cfg, pretrained, seed, target, source=None, out_dir=None,
                   warmup_epochs=ft.warmup_epochs, batch=ft.batch)
     model, history = run_training(ft, train, val, model, source_data=(
         None if source is None else source[0]))
-    if out_dir is not None:
-        suffix = f"{tag}_seed{seed}" if tag else f"seed{seed}"
-        save_checkpoint(os.path.join(out_dir, f"finetuned_{suffix}.ckpt"),
-                        model, {"stage": "finetune", "method": ft.method,
-                                "seed": seed, "epochs": ft.epochs})
-        write_metrics(history,
-                      os.path.join(out_dir, f"metrics_{suffix}.csv"))
+    suffix = f"{tag}_seed{seed}" if tag else f"seed{seed}"
+    save_checkpoint(os.path.join(cfg.out_dir, f"finetuned_{suffix}.ckpt"),
+                    model, {"stage": "finetune", "method": ft.method,
+                            "seed": seed, "epochs": ft.epochs})
+    write_metrics(history, os.path.join(cfg.out_dir, f"metrics_{suffix}.csv"))
     return model, history
 
 
@@ -260,23 +263,21 @@ def run_experiment(cfg):
     then per-seed warmup, fine-tuning and evaluation. Artifacts land in
     `cfg.out_dir`, which is made only once `load_data` has loaded and
     checked the data of every stage."""
+    model = pretrained_config(cfg)
     target, source = load_data(
         cfg, ("finetune",) if cfg.pretrain is None
-        else ("pretrain", "finetune"), cfg.model.input_shape, "the config")
+        else ("pretrain", "finetune"), model, "the config")
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.pretrain is not None:
-        pretrained, _ = run_pretrain(cfg, source, out_dir=cfg.out_dir)
+        pretrained, _ = run_pretrain(cfg, source)
     else:
-        pretrained = MiniCNN(_source_model_config(cfg) if cfg.source_data
-                             else dataclasses.replace(cfg.model,
-                                                      source_classes=0),
+        pretrained = MiniCNN(model,
                              rng=np.random.default_rng(cfg.finetune.seed))
     if not METHODS[cfg.finetune.method].joint:
         source = None  # not held through fine-tuning
     results = {}
     for seed in cfg.seeds:
-        model, history = run_finetune(cfg, pretrained, seed, target, source,
-                                      out_dir=cfg.out_dir)
+        model, history = run_finetune(cfg, pretrained, seed, target, source)
         clean, robust = evaluate(model, target[1], cfg.eval_attack,
                                  rng=np.random.default_rng(seed + 104729))
         results[seed] = {"clean_acc": clean, "pgd_acc": robust}
