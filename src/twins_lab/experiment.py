@@ -12,10 +12,12 @@ from .checkpoint import atomic_open, save_checkpoint
 from .data import DatasetSpec, load_dataset
 from .network import MiniCNN, ModelConfig, make_finetune_model
 from .schema import REQUIRED, check, integers, section, text
-from .training import METHODS, TrainConfig, run_training, warmup_bn
+from .training import (METHODS, EpochRecord, TrainConfig, run_training,
+                       warmup_bn)
 
-METRICS_HEADER = ("epoch,lr,train_loss,clean_acc,pgd_acc,"
-                  "grad_norm_mean,grad_norm_cv,weight_dist")
+# the metrics CSV's columns, in order
+_FIELDS = dataclasses.fields(EpochRecord)
+METRICS_HEADER = ",".join(f.name for f in _FIELDS)
 
 
 class ConfigError(ValueError):
@@ -73,8 +75,12 @@ class ExperimentConfig:
             self.eval_attack = self.finetune.attack
         if self.pretrain is not None and self.source_data is None:
             raise ConfigError("pretrain stage declared without source_data")
-        # a target's classes are its label bound, whatever its source
         model = self.model
+        if model.source_classes:
+            raise ConfigError(f"model.source_classes must be 0, got "
+                              f"{model.source_classes}: pre-training or "
+                              "the checkpoint sets the source head")
+        # a target's classes are its label bound, whatever its source
         if self.target_data.classes > model.target_classes:
             raise ConfigError(f"target_data: classes "
                               f"{self.target_data.classes} exceeds "
@@ -173,21 +179,23 @@ def write_metrics(history, path):
         raise ValueError("refusing to write an empty metrics file")
     lines = [METRICS_HEADER]
     for rec in history:
-        lines.append(",".join([
-            str(rec.epoch), f"{rec.lr:.12g}", f"{rec.train_loss:.12g}",
-            f"{rec.clean_acc:.12g}", f"{rec.pgd_acc:.12g}",
-            f"{rec.grad_norm_mean:.12g}", f"{rec.grad_norm_cv:.12g}",
-            f"{rec.weight_dist:.12g}"]))
+        # the epoch as an integer, every other column to 12 digits
+        lines.append(",".join(
+            str(getattr(rec, f.name)) if f.type is int
+            else f"{getattr(rec, f.name):.12g}" for f in _FIELDS))
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_metrics(path):
-    """The rows of a metrics CSV as {column: float}. A file without rows,
-    or a row without one number per header column, raises ValueError
-    naming the file (and the line)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().strip().split("\n")
+    """The rows of a metrics CSV as {column: float}. A file that is not
+    UTF-8 text, a file without rows, or a row without one number per
+    header column raises ValueError naming the file (and the line)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().strip().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a metrics CSV ({exc})") from exc
     if lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: unexpected metrics header")
     if len(lines) == 1:
@@ -208,12 +216,12 @@ def read_metrics(path):
 
 
 def pretrained_config(cfg):
-    """The ModelConfig of `cfg`'s pre-trained model: cfg.model with one
-    head, over source_data's classes if the config has source data."""
-    classes = (cfg.model.target_classes if cfg.source_data is None
-               else cfg.source_data.classes)
-    return dataclasses.replace(cfg.model, target_classes=classes,
-                               source_classes=0)
+    """The ModelConfig of `cfg`'s pre-trained model: cfg.model, with its
+    head over source_data's classes if the config has source data."""
+    if cfg.source_data is None:
+        return cfg.model
+    return dataclasses.replace(cfg.model,
+                               target_classes=cfg.source_data.classes)
 
 
 def run_pretrain(cfg, source):
@@ -263,15 +271,15 @@ def run_experiment(cfg):
     then per-seed warmup, fine-tuning and evaluation. Artifacts land in
     `cfg.out_dir`, which is made only once `load_data` has loaded and
     checked the data of every stage."""
-    model = pretrained_config(cfg)
+    pretrained_cfg = pretrained_config(cfg)
     target, source = load_data(
         cfg, ("finetune",) if cfg.pretrain is None
-        else ("pretrain", "finetune"), model, "the config")
+        else ("pretrain", "finetune"), pretrained_cfg, "the config")
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.pretrain is not None:
         pretrained, _ = run_pretrain(cfg, source)
     else:
-        pretrained = MiniCNN(model,
+        pretrained = MiniCNN(pretrained_cfg,
                              rng=np.random.default_rng(cfg.finetune.seed))
     if not METHODS[cfg.finetune.method].joint:
         source = None  # not held through fine-tuning

@@ -140,10 +140,6 @@ class MiniCNN:
         self.params.add(f"{name}.w", w)
         self.params.add(f"{name}.b", np.zeros(classes, dt))
 
-    @property
-    def feature_width(self):
-        return self.config.widths[-1]
-
     def conv_names(self):
         return [f"conv{i}" for i in range(1, len(self.bn) + 1)]
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ def test_metrics_rejects_foreign_header(tmp_path):
         fh.write("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_metrics(path)
+
+
+def test_metrics_rows_are_fixed(tmp_path):
+    path = str(tmp_path / "m.csv")
+    write_metrics(_records(2), path)
+    with open(path, "rb") as fh:
+        assert fh.read() == (METRICS_HEADER.encode() + b"\n"
+                             b"0,0.01,1,0.5,0.4,2,0.1,0\n"
+                             b"1,0.01,0.5,0.6,0.5,2,0.1,1\n")
+
+
+def test_analyze_names_a_file_that_is_not_text(tmp_path, capsys):
+    path = str(tmp_path / "model.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(b"TWNS\xfa\x00\x01")
+    assert main(["analyze", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a metrics CSV")
 
 
 def test_config_rejects_unknown_method_before_training():
@@ -368,9 +387,13 @@ def test_diverged_run_stops_naming_epoch_and_batch(tmp_path, capsys):
             pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
         run_training(exp.finetune, train, val, model)
     path = _write_config(tmp_path, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy's overflow warnings once came before the error on stderr; any
+    # warning fails the run here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run", path]) == 1
-    assert "error: training diverged at epoch" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: training diverged at "
+                                              "epoch")
     assert not os.path.exists(os.path.join(str(tmp_path / "out"),
                                            "metrics_seed0.csv"))
 
@@ -446,10 +469,12 @@ def _npz_target(classes):
     (_set("seeds", [-1]), "seeds"),
     (_set("finetune.seed", -3), "finetune: seed"),
     (_set("target_data.seed", -3), "target_data: seed"),
+    # read by nothing: pre-training or the checkpoint sets the source head
+    (_set("model.source_classes", 7), "model.source_classes"),
 ], ids=["epochs-0", "epochs-negative", "warmup_epochs", "decay", "classes",
         "target-image_shape", "source-image_shape", "npz-classes",
         "per_class", "noise_std", "seeds", "finetune-seed",
-        "target_data-seed"])
+        "target_data-seed", "source_classes"])
 def test_cli_rejects_out_of_range_config_values(tmp_path, capsys,
                                                 monkeypatch, edit, key):
     """Values of the right type that no run can use fail when the config

@@ -256,7 +256,7 @@ def test_finetune_model_inherits_backbone_and_stats():
         assert np.array_equal(s_ft.gamma_f.data, s_pre.gamma_a.data)
     assert np.array_equal(ft.params["src_head.w"].data,
                           pre.params["head.w"].data)
-    assert ft.params["head.w"].data.shape == (pre.feature_width, 3)
+    assert ft.params["head.w"].data.shape == (pre.config.widths[-1], 3)
 
 
 def test_finetune_target_head_depends_on_seed():
