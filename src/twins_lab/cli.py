@@ -11,7 +11,8 @@ import numpy as np
 
 from .analysis import evaluate, grad_norm_epoch_stats, overfitting_gap
 from .checkpoint import atomic_open, load_checkpoint
-from .data import load_records, save_idx, val_count
+# load_dataset stays bound here: the benchmark's traced runs wrap it by name
+from .data import load_dataset, load_records, save_idx, val_count
 from .experiment import (ConfigError, load_config, load_data,
                          pretrained_config, read_metrics, run_experiment,
                          run_finetune, run_pretrain, stage)
@@ -102,10 +103,9 @@ def _cmd_eval(args):
         raise ConfigError(f"--seed (the attack's random start) must be an "
                           f"integer >= 0, got {seed}")
     model, meta = load_checkpoint(args.checkpoint)
-    target, _ = load_data(cfg, ("eval",), model.config,
-                          f"checkpoint {args.checkpoint}")
-    val = target[1]
-    del target  # the train split is not held through evaluation
+    # only the val split is held through evaluation
+    val = load_data(cfg, ("eval",), model.config,
+                    f"checkpoint {args.checkpoint}")[0][1]
     clean, robust = evaluate(model, val, cfg.eval_attack,
                              rng=np.random.default_rng(seed))
     print(json.dumps({"checkpoint": args.checkpoint,

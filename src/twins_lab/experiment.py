@@ -16,8 +16,7 @@ from .training import (METHODS, EpochRecord, TrainConfig, run_training,
                        warmup_bn)
 
 # the metrics CSV's columns, in order
-_FIELDS = dataclasses.fields(EpochRecord)
-METRICS_HEADER = ",".join(f.name for f in _FIELDS)
+METRICS_HEADER = ",".join(f.name for f in dataclasses.fields(EpochRecord))
 
 
 class ConfigError(ValueError):
@@ -121,9 +120,10 @@ def stage(cfg, name):
     return train
 
 
-# the dataset each stage trains on or, for eval, attacks
-_READS = {"pretrain": "source_data", "finetune": "target_data",
-          "eval": "target_data"}
+# each stage's dataset, and whether it trains on it; eval attacks it
+# instead, through the model's head, which must hold its classes
+_READS = {"pretrain": ("source_data", True),
+          "finetune": ("target_data", True), "eval": ("target_data", False)}
 
 
 def load_data(cfg, stages, model, model_from):
@@ -136,9 +136,10 @@ def load_data(cfg, stages, model, model_from):
     target, joint's source), before loading; then for images not of
     model.input_shape, or a batch larger than its train split (it would
     train no step). ValueError naming the key for an empty val split."""
-    batches = {name: stage(cfg, name).batch for name in stages
-               if name != "eval"}
-    heads = ["target_data"] if "eval" in stages else []
+    heads = [_READS[name][0] for name in stages if not _READS[name][1]]
+    for name in stages:
+        if _READS[name][1]:
+            stage(cfg, name)  # an undeclared stage fails before loading
     if "finetune" in stages and METHODS[cfg.finetune.method].joint:
         if cfg.source_data is None:
             raise ConfigError("joint fine-tuning needs source_data")
@@ -149,7 +150,7 @@ def load_data(cfg, stages, model, model_from):
             raise ConfigError(f"{key}: classes {classes} exceeds "
                               f"model.target_classes {model.target_classes} "
                               f"of {model_from}")
-    reads = {_READS[name] for name in stages} | set(heads)
+    reads = {_READS[name][0] for name in stages} | set(heads)
     data = {key: load_dataset(getattr(cfg, key))
             for key in ("target_data", "source_data") if key in reads}
     for key, (train, _) in data.items():
@@ -159,9 +160,9 @@ def load_data(cfg, stages, model, model_from):
                               f"{list(shape)}, but {model_from} has "
                               f"model.input_shape {list(model.input_shape)}")
     for name in stages:
-        key = _READS[name]
+        key, trains = _READS[name]
         (_, y_train), (_, y_val) = data[key]
-        batch = batches.get(name, 0)
+        batch = stage(cfg, name).batch if trains else 0
         if batch > len(y_train):
             raise ConfigError(f"{name}: batch {batch} exceeds the "
                               f"{len(y_train)} images of {key}'s train "
@@ -179,10 +180,11 @@ def write_metrics(history, path):
         raise ValueError("refusing to write an empty metrics file")
     lines = [METRICS_HEADER]
     for rec in history:
-        # the epoch as an integer, every other column to 12 digits
-        lines.append(",".join(
-            str(getattr(rec, f.name)) if f.type is int
-            else f"{getattr(rec, f.name):.12g}" for f in _FIELDS))
+        lines.append(",".join([
+            str(rec.epoch), f"{rec.lr:.12g}", f"{rec.train_loss:.12g}",
+            f"{rec.clean_acc:.12g}", f"{rec.pgd_acc:.12g}",
+            f"{rec.grad_norm_mean:.12g}", f"{rec.grad_norm_cv:.12g}",
+            f"{rec.weight_dist:.12g}"]))
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

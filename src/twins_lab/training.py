@@ -267,10 +267,10 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
                 loss = batch_loss(model, x_train[idx], y_train[idx], cfg,
                                   rng, aux)
                 grads = backprop(loss, model.params, names)
-                losses.append(loss.item())
-                # frees the graph, so the next batch reuses its memory
-                del loss
-                norms.append(flat_grad_norm(grads, names))
+            losses.append(loss.item())
+            # frees the batch's graph, so the next batch reuses its memory
+            del loss
+            norms.append(flat_grad_norm(grads, names))
             if not (np.isfinite(losses[-1]) and np.isfinite(norms[-1])):
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {batch}: "
