@@ -4,11 +4,11 @@ gradient-dynamics diagnostics and experiment orchestration."""
 
 from .attack import AttackConfig, pgd_attack, project_linf
 from .network import BNLayerState, BranchMode, MiniCNN, ModelConfig
-from .tensor import ParamStore, Tensor, backprop, finite_diff_grad
+from .tensor import Tensor, backprop, finite_diff_grad
 from .training import TrainConfig, run_training
 
 __all__ = [
     "AttackConfig", "BNLayerState", "BranchMode", "MiniCNN", "ModelConfig",
-    "ParamStore", "Tensor", "TrainConfig", "backprop", "finite_diff_grad",
-    "pgd_attack", "project_linf", "run_training",
+    "Tensor", "TrainConfig", "backprop", "finite_diff_grad", "pgd_attack",
+    "project_linf", "run_training",
 ]

@@ -83,8 +83,7 @@ def scale_probe(model, layer, gamma_list, batch):
     base = kernel.data.copy()
     reports = []
     try:
-        for branch, tag in ((BranchMode.ADAPTIVE_TRAIN, "adaptive"),
-                            (BranchMode.FROZEN_TRAIN, "frozen")):
+        for branch in (BranchMode.ADAPTIVE_TRAIN, BranchMode.FROZEN_TRAIN):
             logits0, norms0 = _probe_pass(model, layer, branch, x, y)
             for gamma in gamma_list:
                 kernel.data = base * gamma
@@ -97,7 +96,7 @@ def scale_probe(model, layer, gamma_list, batch):
                 ratios = (norms[live] / norms0[live] if live.any()
                           else np.array([np.nan]))
                 reports.append(ScaleProbeEntry(
-                    gamma=float(gamma), branch=tag,
+                    gamma=float(gamma), branch=branch.value,
                     forward_delta=delta,
                     grad_ratio_min=float(ratios.min()),
                     grad_ratio_max=float(ratios.max()),

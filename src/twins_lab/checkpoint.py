@@ -43,9 +43,11 @@ class PayloadBoundsError(CheckpointError):
 
 @contextlib.contextmanager
 def atomic_open(path, mode, **kwargs):
-    """Open a temp file beside `path` for writing; on a clean exit it
-    replaces `path` with `os.replace`, on an exception it is removed. A
-    reader sees the old file or the whole new one, never a part."""
+    """Make `path`'s directory, then open a temp file beside `path` for
+    writing; on a clean exit it replaces `path` with `os.replace`, on an
+    exception it is removed. A reader sees the old file or the whole new
+    one, never a part."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -2,7 +2,6 @@
 
 import argparse
 import ctypes
-import dataclasses
 import json
 import os
 import sys
@@ -15,34 +14,19 @@ from .checkpoint import atomic_open, load_checkpoint
 from .data import load_dataset, load_records, save_idx, val_count
 from .experiment import (ConfigError, load_config, load_data,
                          pretrained_config, read_metrics, run_experiment,
-                         run_finetune, run_pretrain, stage)
+                         run_finetune, run_pretrain)
 
 
 def _load_config(args, seed_key=None):
     """The config at `args.config` with `--out` set as out_dir, `--method`
     as finetune.method and `--seed` as `seed_key` ("seeds" or
-    "pretrain.seed"). `dataclasses.replace` checks each as it checks the
-    file's values; a bad one is a ConfigError naming its section."""
-    cfg = load_config(args.config)
+    "pretrain.seed") before the file is checked."""
     edits = {"out_dir": getattr(args, "out", None),
              "finetune.method": getattr(args, "method", None)}
     if seed_key and args.seed is not None:
         edits[seed_key] = [args.seed] if seed_key == "seeds" else args.seed
-    for path, value in edits.items():
-        if value is None:
-            continue
-        section, _, key = path.rpartition(".")
-        try:
-            if section:
-                value = dataclasses.replace(stage(cfg, section),
-                                            **{key: value})
-            cfg = dataclasses.replace(cfg, **{section or key: value})
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}" if section else str(exc)) \
-                from exc
-    return cfg
+    return load_config(args.config,
+                       {k: v for k, v in edits.items() if v is not None})
 
 
 def _cmd_gen_data(args):
@@ -50,7 +34,6 @@ def _cmd_gen_data(args):
     an "npz" or "idx-files" spec with the same seed and val_fraction reads
     back the same (train, val) split."""
     cfg = _load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for name, spec in (("target", cfg.target_data),
                        ("source", cfg.source_data)):
         if spec is None:
@@ -73,7 +56,6 @@ def _cmd_pretrain(args):
     cfg = _load_config(args, "pretrain.seed")
     _, source = load_data(cfg, ("pretrain",), pretrained_config(cfg),
                           "the config")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _, history = run_pretrain(cfg, source)
     print(f"pre-training done: final clean acc {history[-1].clean_acc:.3f}, "
           f"pgd acc {history[-1].pgd_acc:.3f}")
@@ -86,7 +68,6 @@ def _cmd_finetune(args):
     pretrained, _ = load_checkpoint(ckpt)
     target, source = load_data(cfg, ("finetune",), pretrained.config,
                                f"checkpoint {ckpt}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for seed in cfg.seeds:
         _, history = run_finetune(cfg, pretrained, seed, target, source,
                                   tag=cfg.finetune.method)
@@ -197,7 +178,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -105,19 +105,19 @@ def parse_config(raw):
     return _build(ExperimentConfig, raw)
 
 
-def load_config(path):
-    """The ExperimentConfig of the JSON file at `path`."""
+def load_config(path, edits=None):
+    """The ExperimentConfig of the JSON file at `path`, each dotted key of
+    `edits` ("out_dir", "finetune.method", ...) set to its value first,
+    in a section the file declares, so that it is checked as the file's
+    own value would be."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(json.load(fh))
-
-
-def stage(cfg, name):
-    """The TrainConfig of `cfg`'s stage `name` ("pretrain" or "finetune");
-    ConfigError if the config declares none."""
-    train = getattr(cfg, name)
-    if train is None:
-        raise ConfigError(f"{name}: the config declares no {name} stage")
-    return train
+        raw = json.load(fh)
+    for key, value in (edits or {}).items():
+        section, _, name = key.rpartition(".")
+        target = raw.get(section) if section and isinstance(raw, dict) else raw
+        if isinstance(target, dict):  # else the check names the fault
+            target[name] = value
+    return parse_config(raw)
 
 
 # each stage's dataset, and whether it trains on it; eval attacks it
@@ -138,8 +138,8 @@ def load_data(cfg, stages, model, model_from):
     train no step). ValueError naming the key for an empty val split."""
     heads = [_READS[name][0] for name in stages if not _READS[name][1]]
     for name in stages:
-        if _READS[name][1]:
-            stage(cfg, name)  # an undeclared stage fails before loading
+        if _READS[name][1] and getattr(cfg, name) is None:
+            raise ConfigError(f"{name}: the config declares no {name} stage")
     if "finetune" in stages and METHODS[cfg.finetune.method].joint:
         if cfg.source_data is None:
             raise ConfigError("joint fine-tuning needs source_data")
@@ -162,7 +162,7 @@ def load_data(cfg, stages, model, model_from):
     for name in stages:
         key, trains = _READS[name]
         (_, y_train), (_, y_val) = data[key]
-        batch = stage(cfg, name).batch if trains else 0
+        batch = getattr(cfg, name).batch if trains else 0
         if batch > len(y_train):
             raise ConfigError(f"{name}: batch {batch} exceeds the "
                               f"{len(y_train)} images of {key}'s train "
@@ -271,13 +271,11 @@ def run_finetune(cfg, pretrained, seed, target, source=None, tag=""):
 def run_experiment(cfg):
     """Full pipeline of the ExperimentConfig `cfg`: optional pre-training,
     then per-seed warmup, fine-tuning and evaluation. Artifacts land in
-    `cfg.out_dir`, which is made only once `load_data` has loaded and
-    checked the data of every stage."""
+    `cfg.out_dir`, which the first of them makes."""
     pretrained_cfg = pretrained_config(cfg)
     target, source = load_data(
         cfg, ("finetune",) if cfg.pretrain is None
         else ("pretrain", "finetune"), pretrained_cfg, "the config")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.pretrain is not None:
         pretrained, _ = run_pretrain(cfg, source)
     else:

@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .schema import check, choice, integer, integers, number
-from .tensor import (ParamStore, Tensor, batch_norm, conv2d, global_avg_pool,
-                     linear, untracked)
+from .tensor import (Tensor, batch_norm, conv2d, global_avg_pool, linear,
+                     untracked)
 
 # stride and zero padding of every MiniCNN convolution
 CONV_GEOMETRY = {"stride": 2, "pad": 1}
@@ -49,8 +49,9 @@ class ModelConfig:
 class BNLayerState:
     """Per-channel affines plus two statistic sets (running and frozen).
 
-    Affine parameters live in the shared ParamStore (one pair per branch);
-    statistics are plain arrays and never receive gradients.
+    Affine parameters (one pair per branch) are entries of the model's
+    `params` dict; statistics are plain arrays and never receive
+    gradients.
     """
 
     def __init__(self, channels, params, prefix, dtype, eps=1e-5, momentum=0.1):
@@ -58,10 +59,11 @@ class BNLayerState:
         self.eps = eps
         self.momentum = momentum
         self.prefix = prefix
-        self.gamma_a = params.add(f"{prefix}.gamma_a", np.ones(channels, dtype))
-        self.beta_a = params.add(f"{prefix}.beta_a", np.zeros(channels, dtype))
-        self.gamma_f = params.add(f"{prefix}.gamma_f", np.ones(channels, dtype))
-        self.beta_f = params.add(f"{prefix}.beta_f", np.zeros(channels, dtype))
+        for name, init in (("gamma_a", np.ones), ("beta_a", np.zeros),
+                           ("gamma_f", np.ones), ("beta_f", np.zeros)):
+            t = Tensor(init(channels, dtype), requires_grad=True)
+            params[f"{prefix}.{name}"] = t
+            setattr(self, name, t)
         self.running_mean = np.zeros(channels, dtype)
         self.running_var = np.ones(channels, dtype)
         self.frozen_mean = np.zeros(channels, dtype)
@@ -118,14 +120,14 @@ class MiniCNN:
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(0)
         dt = config.np_dtype()
-        self.params = ParamStore()
+        self.params = {}  # name -> trainable Tensor, in checkpoint order
         self.bn = []
         c_in = config.input_shape[0]
         for i, c_out in enumerate(config.widths, start=1):
             fan_in = c_in * 9
             k = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                            size=(c_out, c_in, 3, 3)).astype(dt)
-            self.params.add(f"conv{i}", k)
+            self.params[f"conv{i}"] = Tensor(k, requires_grad=True)
             self.bn.append(BNLayerState(c_out, self.params, f"bn{i}", dt,
                                         eps=config.bn_eps,
                                         momentum=config.bn_momentum))
@@ -137,8 +139,9 @@ class MiniCNN:
 
     def _init_head(self, rng, name, feat, classes, dt):
         w = rng.normal(0.0, 1.0 / np.sqrt(feat), size=(feat, classes)).astype(dt)
-        self.params.add(f"{name}.w", w)
-        self.params.add(f"{name}.b", np.zeros(classes, dt))
+        self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
+        self.params[f"{name}.b"] = Tensor(np.zeros(classes, dt),
+                                          requires_grad=True)
 
     def conv_names(self):
         return [f"conv{i}" for i in range(1, len(self.bn) + 1)]

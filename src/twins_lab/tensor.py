@@ -589,39 +589,10 @@ def kl_div_logits(p_logits, q_logits):
     return Tensor._make(np.asarray(val, dtype=p_logits.data.dtype), (a, b), bk)
 
 
-# -- parameter containers ------------------------------------------------
-
-
-class ParamStore:
-    """Named trainable tensors shared by every consumer of the model."""
-
-    def __init__(self):
-        self._params = {}
-
-    def add(self, name, data, dtype=None):
-        if name in self._params:
-            raise KeyError(f"parameter {name!r} already registered")
-        t = Tensor(_as_float_array(data, dtype), requires_grad=True)
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name):
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def names(self):
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-
 @contextlib.contextmanager
 def untracked(params):
     """Untrack every parameter until exit, then restore each one's flag."""
-    flags = [(p, p.requires_grad) for _, p in params.items()]
+    flags = [(p, p.requires_grad) for p in params.values()]
     for p, _ in flags:
         p.requires_grad = False
     try:
@@ -639,10 +610,10 @@ def backprop(loss, params, names=None):
     """
     if loss.data.size != 1:
         raise ShapeError("backprop requires a scalar loss")
-    for _, p in params.items():
+    for p in params.values():
         p.grad = None  # drop stale gradients from earlier passes
     if names is None:
-        names = params.names()
+        names = list(params)
     loss.backward()
     grads = {}
     for name in names:
@@ -657,7 +628,7 @@ def finite_diff_grad(f, params, h=1e-5, names=None):
     if h <= 0:
         raise ValueError("h must be positive")
     if names is None:
-        names = params.names()
+        names = list(params)
     grads = {}
     for name in names:
         p = params[name]

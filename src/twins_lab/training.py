@@ -57,8 +57,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check(self)
-        if METHODS[self.method].twins and self.batch % 2 != 0:
-            raise ValueError("twins methods need an even batch size")
+        # each half goes through one branch; the Adaptive half needs two
+        if METHODS[self.method].twins and (self.batch % 2 or self.batch < 4):
+            raise ValueError(f"twins methods need an even batch size of at "
+                             f"least 4, got batch {self.batch}")
 
 
 class DivergenceError(ValueError):
@@ -92,7 +94,7 @@ def sgd_update(params, grads, velocity, rate, lambda_wd, momentum,
     buffer starts at zero.
     """
     if names is None:
-        names = params.names()
+        names = list(params)
     for name in names:
         if name not in grads:
             raise KeyError(f"missing gradient for parameter {name!r}")
@@ -210,7 +212,7 @@ def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
 def trainable_names(model, method):
     """The names of the parameters of `model` that `method` trains."""
     m = METHODS[method]
-    return [name for name in model.params.names()
+    return [name for name in model.params
             if (m.twins or not name.endswith((".gamma_f", ".beta_f")))
             and (m.joint or not name.startswith("src_head"))]
 

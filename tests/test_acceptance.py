@@ -17,7 +17,7 @@ from twins_lab.checkpoint import load_checkpoint, save_checkpoint
 from twins_lab.data import DatasetSpec, load_dataset
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
                                make_finetune_model)
-from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
+from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
                               linear, softmax_cross_entropy)
 from twins_lab.training import (TrainConfig, batch_loss, run_training,
                                 warmup_bn)
@@ -65,7 +65,7 @@ def test_criterion_1_gradient_oracle():
 
         grads = backprop(loss(), model.params)
         fd = finite_diff_grad(lambda: loss().item(), model.params)
-        for name in model.params.names():
+        for name in model.params:
             mask = np.abs(grads[name]) > 1e-8
             if not mask.any():
                 continue
@@ -126,9 +126,11 @@ def test_criterion_3_frozen_gradient_formula():
 class _LinearSoftmaxModel:
     def __init__(self, w, b):
         self.config = ModelConfig(dtype="float64")
-        self.params = ParamStore()
-        self.w = self.params.add("w", w, dtype=np.float64).data
-        self.b = self.params.add("b", b, dtype=np.float64).data
+        self.params = {
+            "w": Tensor(w, requires_grad=True, dtype=np.float64),
+            "b": Tensor(b, requires_grad=True, dtype=np.float64)}
+        self.w = self.params["w"].data
+        self.b = self.params["b"].data
 
     def forward(self, x, mode, head="target", update_running=False,
                 capture=None):

@@ -6,7 +6,7 @@ import pytest
 from twins_lab import attack, tensor
 from twins_lab.attack import AttackConfig, pgd_attack, project_linf
 from twins_lab.network import BranchMode, MiniCNN, ModelConfig
-from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
+from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
                               kl_div_logits, linear, softmax_cross_entropy,
                               untracked)
 
@@ -16,9 +16,11 @@ class LinearSoftmaxModel:
 
     def __init__(self, w, b):
         self.config = ModelConfig(dtype="float64")
-        self.params = ParamStore()
-        self.w = self.params.add("w", w, dtype=np.float64).data
-        self.b = self.params.add("b", b, dtype=np.float64).data
+        self.params = {
+            "w": Tensor(w, requires_grad=True, dtype=np.float64),
+            "b": Tensor(b, requires_grad=True, dtype=np.float64)}
+        self.w = self.params["w"].data
+        self.b = self.params["b"].data
 
     def forward(self, x, mode, head="target", update_running=False,
                 capture=None):
@@ -262,7 +264,7 @@ def test_backprop_after_attack_matches_finite_diff():
     grads = backprop(loss(), model.params)
     fd = finite_diff_grad(lambda: loss().item(), model.params)
     live = 0
-    for name in model.params.names():
+    for name in model.params:
         mask = np.abs(grads[name]) > 1e-8
         live += int(mask.sum())
         rel = (np.abs(grads[name] - fd[name])

@@ -454,6 +454,31 @@ def _npz_target(classes):
     return edit
 
 
+def _twins_batch(stage, batch):
+    """An edit that makes `stage` a twins-at stage of batch `batch`."""
+    def edit(cfg):
+        if stage == "pretrain":
+            _with_pretrain(cfg)
+        cfg[stage].update(method="twins-at", batch=batch)
+        return cfg
+    return edit
+
+
+def _idx_target(labels):
+    """An edit that makes the target a pair of IDX files, written beside
+    the output directory, of 1x8x8 images with `labels`."""
+    def edit(cfg):
+        where = os.path.dirname(cfg["out_dir"])
+        ip, lp = os.path.join(where, "i.idx"), os.path.join(where, "l.idx")
+        save_idx(np.random.default_rng(0).uniform(size=(len(labels), 1, 8, 8)),
+                 labels, ip, lp)
+        cfg["model"]["input_shape"] = [1, 8, 8]
+        cfg["target_data"] = {"source": "idx-files", "classes": 2,
+                              "images_path": ip, "labels_path": lp}
+        return cfg
+    return edit
+
+
 @pytest.mark.parametrize("edit, key", [
     (_set("finetune.epochs", 0), "epochs"),
     (_set("finetune.epochs", -1), "epochs"),
@@ -471,10 +496,16 @@ def _npz_target(classes):
     (_set("target_data.seed", -3), "target_data: seed"),
     # read by nothing: pre-training or the checkpoint sets the source head
     (_set("model.source_classes", 7), "model.source_classes"),
+    # one image per branch: the Adaptive half needs two
+    (_twins_batch("pretrain", 2), "pretrain: twins methods need an even "
+     "batch size of at least 4, got batch 2"),
+    (_twins_batch("finetune", 2), "finetune: twins methods need an even "
+     "batch size of at least 4, got batch 2"),
 ], ids=["epochs-0", "epochs-negative", "warmup_epochs", "decay", "classes",
         "target-image_shape", "source-image_shape", "npz-classes",
         "per_class", "noise_std", "seeds", "finetune-seed",
-        "target_data-seed", "source_classes"])
+        "target_data-seed", "source_classes", "pretrain-twins-batch",
+        "finetune-twins-batch"])
 def test_cli_rejects_out_of_range_config_values(tmp_path, capsys,
                                                 monkeypatch, edit, key):
     """Values of the right type that no run can use fail when the config
@@ -546,6 +577,40 @@ def test_cli_checks_a_flag_as_the_config_key_it_sets(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err.splitlines()[0]
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, edit", [
+    (["--method", "at"], _twins_batch("finetune", 7)),
+    (["--out", "OUT"],
+     lambda cfg: {k: v for k, v in cfg.items() if k != "out_dir"}),
+], ids=["method", "out"])
+def test_cli_flag_sets_its_key_before_the_file_is_checked(tmp_path, capsys,
+                                                          flags, edit):
+    """A file whose only fault is the value a flag replaces runs: an odd
+    twins batch under `--method at`, a missing out_dir under `--out`."""
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, edit(_base_config(str(out))))
+    flags = [str(out) if flag == "OUT" else flag for flag in flags]
+    assert main(["run", path] + flags) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(out)) == ["finetuned_seed0.ckpt",
+                                       "metrics_seed0.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("command, edit, error", [
+    ("gen-data", _idx_target(np.arange(16) % 3), "label 2 of record 2"),
+    ("run", _set("finetune.eta", 1e30), "training diverged at epoch 0"),
+], ids=["gen-data-label", "run-diverged"])
+def test_a_failure_before_the_first_artifact_leaves_no_directory(
+        tmp_path, capsys, command, edit, error):
+    """The output directory is made by the first artifact written, so a
+    command that stops before it leaves none."""
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, edit(_base_config(str(out))))
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and error in err.splitlines()[0]
     assert not out.exists()
 
 

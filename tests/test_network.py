@@ -4,14 +4,14 @@ import pytest
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward, bn_update_running, copy_model,
                                make_finetune_model)
-from twins_lab.tensor import (ParamStore, Tensor, backprop, finite_diff_grad,
+from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
                               softmax_cross_entropy)
 from twins_lab.training import TrainConfig, run_training
 from twins_lab.attack import AttackConfig
 
 
 def _bn_state(eps=0.0):
-    ps = ParamStore()
+    ps = {}
     return BNLayerState(1, ps, "bn1", np.float64, eps=eps, momentum=0.1)
 
 
@@ -67,7 +67,7 @@ def _bn_case(mode, seed=0):
     its input registered as parameter "x", and a loss that weighs each
     output element differently."""
     rng = np.random.default_rng(seed)
-    ps = ParamStore()
+    ps = {}
     state = BNLayerState(3, ps, "bn1", np.float64, eps=1e-3)
     for t in (state.gamma_a, state.gamma_f):
         t.data = rng.uniform(0.5, 2.0, size=3)
@@ -77,7 +77,8 @@ def _bn_case(mode, seed=0):
     state.frozen_mean = rng.normal(size=3)
     state.running_var = rng.uniform(0.5, 2.0, size=3)
     state.frozen_var = rng.uniform(0.5, 2.0, size=3)
-    ps.add("x", rng.normal(1.0, 2.0, size=(4, 3, 3, 2)))
+    ps["x"] = Tensor(rng.normal(1.0, 2.0, size=(4, 3, 3, 2)),
+                     requires_grad=True)
     weights = rng.normal(size=(4, 3, 3, 2))
 
     def loss():

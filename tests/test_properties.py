@@ -26,7 +26,7 @@ from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.experiment import ConfigError, parse_config
 from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
                                bn_forward)
-from twins_lab.tensor import (ParamStore, Tensor, _channel_sum,
+from twins_lab.tensor import (Tensor, _channel_sum,
                               _conv2d_forward, backprop, batch_norm,
                               conv2d, conv2d_weight_grad,
                               feature_distance, finite_diff_grad,
@@ -92,11 +92,12 @@ def _conv_reference(x, k, stride, pad):
 @given(conv_cases())
 def test_conv2d_matches_reference_and_finite_diff(case):
     rng = np.random.default_rng(case["seed"])
-    ps = ParamStore()
-    x = ps.add("x", _in_layout(rng.normal(
-        size=(case["n"], case["c"], case["h"], case["w"])), case["layout"]))
-    k = ps.add("k", rng.normal(size=(case["o"], case["c"], case["kh"],
-                                     case["kw"])))
+    x = Tensor(_in_layout(rng.normal(
+        size=(case["n"], case["c"], case["h"], case["w"])), case["layout"]),
+        requires_grad=True)
+    k = Tensor(rng.normal(size=(case["o"], case["c"], case["kh"],
+                                case["kw"])), requires_grad=True)
+    ps = {"x": x, "k": k}
     stride, pad = case["stride"], case["pad"]
     out = conv2d(x, k, stride, pad)
     assert out.shape == _conv_reference(x.data, k.data, stride, pad).shape
@@ -147,7 +148,7 @@ def test_bn_matches_reference_and_finite_diff(case):
     convolution and the per-channel formulas."""
     rng = np.random.default_rng(case["seed"])
     o, mode = case["o"], case["mode"]
-    ps = ParamStore()
+    ps = {}
     state = BNLayerState(o, ps, "bn", np.float64, eps=1e-3)
     for t in (state.gamma_a, state.gamma_f):
         t.data = rng.uniform(0.5, 2.0, size=o)
@@ -155,10 +156,11 @@ def test_bn_matches_reference_and_finite_diff(case):
         t.data = rng.normal(size=o)
     state.running_mean, state.frozen_mean = rng.normal(size=(2, o))
     state.running_var, state.frozen_var = rng.uniform(0.5, 2.0, size=(2, o))
-    x = ps.add("x", _in_layout(rng.normal(
+    x = ps["x"] = Tensor(_in_layout(rng.normal(
         1.0, 2.0, size=(case["n"], case["c"], case["h"], case["w"])),
-        case["layout"]))
-    k = ps.add("k", rng.normal(size=(o, case["c"], case["kh"], case["kw"])))
+        case["layout"]), requires_grad=True)
+    k = ps["k"] = Tensor(rng.normal(
+        size=(o, case["c"], case["kh"], case["kw"])), requires_grad=True)
     branch = "f" if mode is BranchMode.FROZEN_TRAIN else "a"
     gamma, beta = ps[f"bn.gamma_{branch}"], ps[f"bn.beta_{branch}"]
     stats = {BranchMode.ADAPTIVE_TRAIN: None,
@@ -303,7 +305,7 @@ def _check_grads(ps, out, rng):
 
     grads = backprop(loss(), ps)
     fd = finite_diff_grad(lambda: loss().item(), ps, h=1e-6)
-    for name in ps.names():
+    for name in ps:
         assert grads[name].shape == ps[name].shape
         assert np.allclose(grads[name], fd[name], rtol=1e-6, atol=1e-8), name
     return grads
@@ -331,10 +333,9 @@ def test_linear_matches_reference_and_finite_diff(case, k):
     if case["layout"] is not None:
         x = _in_layout(x, case["layout"])
     n, d = x.shape[0], x[0].size
-    ps = ParamStore()
-    ps.add("x", x)
-    ps.add("w", rng.normal(size=(d, k)))
-    ps.add("b", rng.normal(size=k))
+    ps = {"x": Tensor(x, requires_grad=True),
+          "w": Tensor(rng.normal(size=(d, k)), requires_grad=True),
+          "b": Tensor(rng.normal(size=k), requires_grad=True)}
     out = linear(ps["x"], ps["w"], ps["b"])
     assert out.shape == (n, k)
     assert np.allclose(out.data, x.reshape(n, d) @ ps["w"].data + ps["b"].data,
@@ -346,8 +347,9 @@ def test_linear_matches_reference_and_finite_diff(case, k):
 @given(image_cases())
 def test_global_avg_pool_matches_reference_and_finite_diff(case):
     rng = np.random.default_rng(case["seed"])
-    ps = ParamStore()
-    x = ps.add("x", _in_layout(rng.normal(size=case["shape"]), case["layout"]))
+    x = Tensor(_in_layout(rng.normal(size=case["shape"]), case["layout"]),
+               requires_grad=True)
+    ps = {"x": x}
     out = global_avg_pool(x)
     assert np.allclose(out.data, x.data.mean(axis=(2, 3)),
                        rtol=1e-12, atol=1e-12)
@@ -363,8 +365,7 @@ def test_feature_distance_matches_reference_and_finite_diff(n, d, data):
     # at least one row at distance 0, where the gradient is 0
     equal = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
     feats[equal] = ref[equal]
-    ps = ParamStore()
-    ps.add("f", feats)
+    ps = {"f": Tensor(feats, requires_grad=True)}
     out = feature_distance(ps["f"], ref)
     assert np.allclose(out.data, np.linalg.norm(feats - ref, axis=1).mean(),
                        rtol=1e-12, atol=1e-12)

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twins_lab.tensor import (ParamStore, ShapeError, Tensor, _conv2d_forward,
-                              _im2col, backprop, batch_norm,
+from twins_lab.tensor import (ShapeError, Tensor, _conv2d_forward, _im2col,
+                              backprop, batch_norm,
                               conv2d, conv2d_weight_grad, finite_diff_grad,
                               global_avg_pool, kl_div_logits, linear,
                               softmax_cross_entropy, untracked)
@@ -87,9 +87,9 @@ def test_conv2d_channel_mismatch():
 @pytest.mark.parametrize("ksize", [1, 3])
 def test_conv2d_gradients_match_finite_diff(stride, pad, ksize):
     rng = np.random.default_rng(10 * stride + 3 * pad + ksize)
-    ps = ParamStore()
-    ps.add("x", rng.normal(size=(2, 3, 5, 7)))
-    ps.add("k", rng.normal(size=(4, 3, ksize, ksize)))
+    ps = {"x": Tensor(rng.normal(size=(2, 3, 5, 7)), requires_grad=True),
+          "k": Tensor(rng.normal(size=(4, 3, ksize, ksize)),
+                      requires_grad=True)}
     out_shape = conv2d(ps["x"], ps["k"], stride, pad).shape
     weights = rng.normal(size=out_shape)
 
@@ -234,17 +234,17 @@ def test_kl_hand_value():
 
 
 def test_backprop_linear_case():
-    ps = ParamStore()
-    w = ps.add("w", np.array([1.0, 2.0, 3.0]))
+    w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    ps = {"w": w}
     x = Tensor(np.array([4.0, 5.0, 6.0]))
     grads = backprop((w * x).sum(), ps)
     assert np.array_equal(grads["w"], x.data)
 
 
 def test_backprop_dead_relu():
-    ps = ParamStore()
-    gamma = ps.add("gamma", np.array([1.0]))
-    beta = ps.add("beta", np.array([-1.0]))
+    gamma = Tensor(np.array([1.0]), requires_grad=True)
+    beta = Tensor(np.array([-1.0]), requires_grad=True)
+    ps = {"gamma": gamma, "beta": beta}
     x = Tensor(np.zeros((2, 1, 2, 2)), requires_grad=True)
     y, _, _ = batch_norm(x, gamma, beta, 0.0, (np.zeros(1), np.ones(1)))
     assert np.array_equal(y.data, np.zeros((2, 1, 2, 2)))
@@ -254,22 +254,20 @@ def test_backprop_dead_relu():
 
 
 def test_backprop_rejects_nonscalar():
-    ps = ParamStore()
-    w = ps.add("w", np.ones(3))
+    w = Tensor(np.ones(3), requires_grad=True)
+    ps = {"w": w}
     with pytest.raises(ShapeError):
         backprop(w * 2.0, ps)
 
 
 def test_finite_diff_quadratic():
-    ps = ParamStore()
-    ps.add("x", np.array([3.0]))
+    ps = {"x": Tensor(np.array([3.0]), requires_grad=True)}
     grads = finite_diff_grad(lambda: float(ps["x"].data[0] ** 2), ps, h=1e-4)
     assert grads["x"][0] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_finite_diff_linear_exact():
-    ps = ParamStore()
-    ps.add("x", np.array([1.0, -2.0]))
+    ps = {"x": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
     c = np.array([2.5, -4.0])
     for h in (1e-2, 1e-5):
         grads = finite_diff_grad(lambda: float((c * ps["x"].data).sum()),
@@ -279,7 +277,7 @@ def test_finite_diff_linear_exact():
 
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
-        finite_diff_grad(lambda: 0.0, ParamStore(), h=0.0)
+        finite_diff_grad(lambda: 0.0, {}, h=0.0)
 
 
 def _two_layer_loss(ps, x, y):
@@ -288,12 +286,10 @@ def _two_layer_loss(ps, x, y):
 
 
 def _two_layer_params(rng):
-    ps = ParamStore()
-    ps.add("w1", rng.normal(size=(5, 7)))
-    ps.add("b1", rng.normal(size=7))
-    ps.add("w2", rng.normal(size=(7, 3)))
-    ps.add("b2", rng.normal(size=3))
-    return ps
+    return {"w1": Tensor(rng.normal(size=(5, 7)), requires_grad=True),
+            "b1": Tensor(rng.normal(size=7), requires_grad=True),
+            "w2": Tensor(rng.normal(size=(7, 3)), requires_grad=True),
+            "b2": Tensor(rng.normal(size=3), requires_grad=True)}
 
 
 def test_backprop_matches_finite_diff_two_layer_net():
@@ -303,7 +299,7 @@ def test_backprop_matches_finite_diff_two_layer_net():
     y = rng.integers(0, 3, size=4)
     grads = backprop(_two_layer_loss(ps, x, y), ps)
     fd = finite_diff_grad(lambda: _two_layer_loss(ps, x, y).item(), ps)
-    for name in ps.names():
+    for name in ps:
         err = np.abs(grads[name] - fd[name])
         rel = err / np.maximum(np.abs(fd[name]), 1e-8)
         assert rel[np.abs(grads[name]) > 1e-8].max() <= 1e-4
@@ -312,9 +308,8 @@ def test_backprop_matches_finite_diff_two_layer_net():
 @pytest.mark.parametrize("seed", range(3))
 def test_elementwise_ops_match_finite_diff(seed):
     rng = np.random.default_rng(100 + seed)
-    ps = ParamStore()
-    ps.add("a", rng.uniform(-2.0, 2.0, size=(3, 4)))
-    ps.add("b", rng.uniform(-2.0, 2.0, size=(3, 4)))
+    ps = {name: Tensor(rng.uniform(-2.0, 2.0, size=(3, 4)),
+                       requires_grad=True) for name in ("a", "b")}
     weights = rng.normal(size=(3, 4))
 
     def loss():
@@ -325,7 +320,7 @@ def test_elementwise_ops_match_finite_diff(seed):
 
     grads = backprop(loss(), ps)
     fd = finite_diff_grad(lambda: loss().item(), ps)
-    for name in ps.names():
+    for name in ps:
         rel = np.abs(grads[name] - fd[name]) / np.maximum(
             np.abs(fd[name]), 1e-8)
         assert rel.max() <= 1e-4
@@ -338,7 +333,7 @@ def test_replay_is_bitwise_deterministic():
     y = rng.integers(0, 3, size=4)
     g1 = backprop(_two_layer_loss(ps, x, y), ps)
     g2 = backprop(_two_layer_loss(ps, x, y), ps)
-    for name in ps.names():
+    for name in ps:
         assert np.array_equal(g1[name], g2[name])
 
 
@@ -349,9 +344,9 @@ def test_fan_out_node_gets_the_summed_gradient():
 
 
 def test_backprop_gives_zeros_to_a_parameter_no_path_reaches():
-    ps = ParamStore()
-    w = ps.add("w", np.ones(3), dtype=np.float32)
-    ps.add("unused", np.ones((2, 2)), dtype=np.float32)
+    w = Tensor(np.ones(3), requires_grad=True, dtype=np.float32)
+    ps = {"w": w, "unused": Tensor(np.ones((2, 2)), requires_grad=True,
+                                   dtype=np.float32)}
     grads = backprop((w * 2.0).sum(), ps)
     assert np.array_equal(grads["w"], np.full(3, 2.0, np.float32))
     assert grads["unused"].dtype == np.float32
@@ -364,17 +359,10 @@ def test_backprop_single_name_matches_full_map_bitwise():
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 3, size=4)
     full = backprop(_two_layer_loss(ps, x, y), ps)
-    for name in ps.names():
+    for name in ps:
         one = backprop(_two_layer_loss(ps, x, y), ps, names=[name])
         assert list(one) == [name]
         assert np.array_equal(one[name], full[name])
-
-
-def test_paramstore_rejects_duplicates():
-    ps = ParamStore()
-    ps.add("w", np.ones(2))
-    with pytest.raises(KeyError):
-        ps.add("w", np.ones(2))
 
 
 def test_float32_mode_preserved_through_ops():
@@ -451,9 +439,7 @@ def test_untracked_parameters_are_neither_written_nor_kept(case):
 
 
 def test_untracked_restores_every_flag_when_its_body_raises():
-    ps = ParamStore()
-    ps.add("a", np.ones(2))
-    ps.add("b", np.ones(2))
+    ps = {name: Tensor(np.ones(2), requires_grad=True) for name in ("a", "b")}
     ps["b"].requires_grad = False
     with pytest.raises(RuntimeError, match="body"):
         with untracked(ps):

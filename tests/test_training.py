@@ -7,7 +7,7 @@ from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.data import DatasetSpec, gen_synthetic_dataset, split_train_val
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, copy_model,
                                make_finetune_model)
-from twins_lab.tensor import (ParamStore, Tensor, backprop, feature_distance,
+from twins_lab.tensor import (Tensor, backprop, feature_distance,
                               softmax_cross_entropy)
 from twins_lab.training import (METHODS, TrainConfig, batch_loss, lr_at_epoch,
                                 run_training, sgd_update, trainable_names,
@@ -112,8 +112,7 @@ def test_train_config_validation():
 
 
 def test_sgd_hand_steps():
-    ps = ParamStore()
-    ps.add("w", np.array([1.0]))
+    ps = {"w": Tensor(np.array([1.0]), requires_grad=True)}
     velocity = {}
     # no decay, momentum 0.9, grad 1, rate 0.1:
     # v: 1, 1.9; w: 1 -> 0.9 -> 0.71
@@ -126,16 +125,14 @@ def test_sgd_hand_steps():
 
 
 def test_sgd_weight_decay_coupled():
-    ps = ParamStore()
-    ps.add("w", np.array([2.0]))
+    ps = {"w": Tensor(np.array([2.0]), requires_grad=True)}
     # g_eff = 0 + 0.5*2 = 1, step = 0.1
     sgd_update(ps, {"w": np.array([0.0])}, {}, 0.1, 0.5, 0.0)
     assert ps["w"].data[0] == pytest.approx(1.9, abs=1e-15)
 
 
 def test_sgd_missing_grad_raises():
-    ps = ParamStore()
-    ps.add("w", np.array([1.0]))
+    ps = {"w": Tensor(np.array([1.0]), requires_grad=True)}
     with pytest.raises(KeyError):
         sgd_update(ps, {}, {}, 0.1, 0.0, 0.9)
 
@@ -272,7 +269,7 @@ def test_trainable_names_per_method(method):
     model = _finetune_model()
     frozen = {f"bn{i}.{p}" for i in (1, 2) for p in ("gamma_f", "beta_f")}
     source = {"src_head.w", "src_head.b"}
-    every = set(model.params.names())
+    every = set(model.params)
     assert frozen | source < every
     twins = method.startswith("twins")
     expected = ((every - frozen - source) | (frozen if twins else set())
