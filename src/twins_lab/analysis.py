@@ -23,19 +23,21 @@ def grad_norm_epoch_stats(log):
     return mu, sigma, cv
 
 
+def l2_norm(arrays):
+    """The float64 Euclidean norm of the arrays, concatenated."""
+    return float(np.sqrt(sum(
+        float((np.asarray(a, dtype=np.float64) ** 2).sum()) for a in arrays)))
+
+
 def weight_distance(theta, theta_ref):
     """Euclidean norm of the concatenated parameter difference."""
     if set(theta) != set(theta_ref):
         raise ValueError("parameter sets differ")
-    total = 0.0
     for name, cur in theta.items():
-        ref = theta_ref[name]
-        if np.shape(cur) != np.shape(ref):
+        if np.shape(cur) != np.shape(theta_ref[name]):
             raise ValueError(f"shape mismatch for {name!r}")
-        d = np.asarray(cur, dtype=np.float64) - np.asarray(ref,
-                                                           dtype=np.float64)
-        total += float((d * d).sum())
-    return float(np.sqrt(total))
+    return l2_norm(np.subtract(cur, theta_ref[name], dtype=np.float64)
+                   for name, cur in theta.items())
 
 
 def overfitting_gap(history):

@@ -26,19 +26,7 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 class CheckpointError(ValueError):
-    """Base class for malformed checkpoint files."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class BadVersionError(CheckpointError):
-    pass
-
-
-class PayloadBoundsError(CheckpointError):
-    pass
+    """A malformed checkpoint file, or a model it cannot hold."""
 
 
 @contextlib.contextmanager
@@ -90,7 +78,7 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
-        raise BadMagicError(f"bad checkpoint magic in {path}")
+        raise CheckpointError(f"bad checkpoint magic in {path}")
     if len(blob) < 12:
         raise CheckpointError("truncated checkpoint header")
     (header_len,) = struct.unpack("<I", blob[8:12])
@@ -105,7 +93,7 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("version") != VERSION:
-        raise BadVersionError(
+        raise CheckpointError(
             f"unsupported checkpoint version: {header.get('version')}")
     payload_end = len(blob) - _DIGEST_SIZE
     if (payload_end < header_end
@@ -129,7 +117,7 @@ def load_checkpoint(path):
     dtype = _payload_dtype(cfg)
     need = sum(arr.size for arr in state.values()) * dtype.itemsize
     if payload_end - header_end != need:
-        raise PayloadBoundsError(
+        raise CheckpointError(
             f"checkpoint payload is {payload_end - header_end} bytes, but "
             f"its model_config needs {need}")
     at = header_end

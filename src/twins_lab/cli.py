@@ -178,8 +178,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
         return 1
 
 

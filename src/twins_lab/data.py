@@ -18,11 +18,8 @@ IDX_LABELS_MAGIC = 0x00000801
 
 class IdxFormatError(ValueError):
     """Malformed IDX header, a file size other than its header declares,
-    or an out-of-range label."""
-
-
-class IdxCountMismatchError(ValueError):
-    """Image and label files disagree on the number of records."""
+    image and label files of different record counts, or an out-of-range
+    label."""
 
 
 class NpzFormatError(ValueError):
@@ -177,8 +174,7 @@ def load_idx(images_path, labels_path):
         n_labels, = _idx_sizes(fh, ">ii", IDX_LABELS_MAGIC, "label")
         raw = _read_exact(fh, n_labels, "label data")
     if n_labels != n:
-        raise IdxCountMismatchError(
-            f"{n} images but {n_labels} labels")
+        raise IdxFormatError(f"{n} images but {n_labels} labels")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     x = images.astype(np.float32)
     x /= 255.0

@@ -72,8 +72,17 @@ class ExperimentConfig:
         check(self)
         if self.eval_attack is None:
             self.eval_attack = self.finetune.attack
-        if self.pretrain is not None and self.source_data is None:
-            raise ConfigError("pretrain stage declared without source_data")
+        if self.pretrain is not None:
+            if self.source_data is None:
+                raise ConfigError("pretrain stage declared without "
+                                  "source_data")
+            if METHODS[self.pretrain.method].joint:
+                raise ConfigError("pretrain: method 'joint' needs a source "
+                                  "head, and pre-training has none")
+            if self.pretrain.warmup_epochs:
+                raise ConfigError(f"pretrain: warmup_epochs must be 0, got "
+                                  f"{self.pretrain.warmup_epochs}: only "
+                                  "fine-tuning warms up")
         model = self.model
         if model.source_classes:
             raise ConfigError(f"model.source_classes must be 0, got "

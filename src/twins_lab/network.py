@@ -187,32 +187,30 @@ class MiniCNN:
 
     # -- state handling --------------------------------------------------
 
+    def arrays(self):
+        """(name, holder, attribute) of every array, in checkpoint order:
+        each parameter's `data`, then each BN layer's `_BN_STATS`."""
+        return ([(name, t, "data") for name, t in self.params.items()]
+                + [(f"{state.prefix}.{stat}", state, stat)
+                   for state in self.bn for stat in _BN_STATS])
+
     def stat_arrays(self):
-        return {f"{state.prefix}.{stat}": getattr(state, stat)
-                for state in self.bn for stat in _BN_STATS}
+        return {name: getattr(holder, attr)
+                for name, holder, attr in self.arrays() if attr != "data"}
 
     def state_dict(self):
         """All tensors (parameters and statistics) as plain arrays."""
-        out = {name: t.data.copy() for name, t in self.params.items()}
-        out.update({k: v.copy() for k, v in self.stat_arrays().items()})
-        return out
+        return {name: getattr(holder, attr).copy()
+                for name, holder, attr in self.arrays()}
 
     def load_state_dict(self, tensors):
-        for name, t in self.params.items():
-            arr = np.asarray(tensors[name], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            t.data = arr.copy()
-        for state in self.bn:
-            for stat in _BN_STATS:
-                name = f"{state.prefix}.{stat}"
-                arr = np.asarray(tensors[name],
-                                 dtype=getattr(state, stat).dtype)
-                if arr.shape != (state.channels,):
-                    raise ValueError(
-                        f"shape mismatch for {name!r}: {arr.shape}, "
-                        f"expected ({state.channels},)")
-                setattr(state, stat, arr.copy())
+        for name, holder, attr in self.arrays():
+            own = getattr(holder, attr)
+            arr = np.array(tensors[name], dtype=own.dtype)  # a copy
+            if arr.shape != own.shape:
+                raise ValueError(f"shape mismatch for {name!r}: {arr.shape}, "
+                                 f"expected {own.shape}")
+            setattr(holder, attr, arr)
 
 
 def predict(model, x, mode, head="target"):
@@ -229,32 +227,28 @@ def copy_model(model):
     return clone
 
 
-def make_finetune_model(pretrained, target_classes, seed=0):
-    """Build a fine-tuning model from a pre-trained MiniCNN.
+# TWINS' start: the pre-trained array each fine-tuning array copies, by
+# layer and array name; any other name copies its own
+_FROM_PRETRAINED = {"gamma_f": "gamma_a", "beta_f": "beta_a",
+                    "frozen_mean": "running_mean",
+                    "frozen_var": "running_var", "src_head": "head"}
 
-    Shared weights and adaptive affines come from the pre-trained model;
-    both branches start from its state. Frozen statistics are set to the
-    pre-trained running (population) statistics. The pre-trained
-    classifier becomes the source head and a fresh target head is drawn.
-    """
+
+def make_finetune_model(pretrained, target_classes, seed=0):
+    """A fine-tuning model of a pre-trained MiniCNN: both branches start
+    from its adaptive affines, the Frozen branch from its running
+    (population) statistics, the source head from its classifier, and the
+    target head is the fresh model's draw."""
     cfg = pretrained.config
-    new_cfg = replace(cfg, target_classes=target_classes,
-                      source_classes=cfg.target_classes)
-    rng = np.random.default_rng(seed)
-    model = MiniCNN(new_cfg, rng=rng)
+    model = MiniCNN(replace(cfg, target_classes=target_classes,
+                            source_classes=cfg.target_classes),
+                    rng=np.random.default_rng(seed))
     src = pretrained.state_dict()
-    for name in model.conv_names():
-        model.params[name].data = src[name].copy()
-    for state in model.bn:
-        p = state.prefix
-        state.gamma_a.data = src[f"{p}.gamma_a"].copy()
-        state.beta_a.data = src[f"{p}.beta_a"].copy()
-        state.gamma_f.data = src[f"{p}.gamma_a"].copy()
-        state.beta_f.data = src[f"{p}.beta_a"].copy()
-        state.running_mean = src[f"{p}.running_mean"].copy()
-        state.running_var = src[f"{p}.running_var"].copy()
-        state.frozen_mean = src[f"{p}.running_mean"].copy()
-        state.frozen_var = src[f"{p}.running_var"].copy()
-    model.params["src_head.w"].data = src["head.w"].copy()
-    model.params["src_head.b"].data = src["head.b"].copy()
+    start = model.state_dict()
+    for name in start:
+        layer, dot, part = name.rpartition(".")
+        if layer != "head":
+            start[name] = src[_FROM_PRETRAINED.get(layer, layer) + dot
+                              + _FROM_PRETRAINED.get(part, part)]
+    model.load_state_dict(start)
     return model

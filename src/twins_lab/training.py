@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import (evaluate, grad_norm_epoch_stats, l2_norm,
+                       weight_distance)
 from .attack import AttackConfig, pgd_attack
 from .network import BranchMode, bn_ema, copy_model, predict
 from .schema import check, choice, integer, integers, number, section
@@ -158,28 +160,25 @@ def warmup_bn(model, x_data, attack_cfg, rng=None, warmup_epochs=1,
             del capture
 
 
-def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
-               update_running=True):
+def batch_loss(model, xb, yb, cfg, rng, reference=None, source=None,
+               adv=None, update_running=True):
     """The objective of the method `METHODS[cfg.method]` on one mini-batch.
 
     A method that attacks does so once, on the Adaptive branch, unless
     `adv` is given. A twins method applies its wing to the first half
     through the Adaptive branch plus, weighted by lambda_twins, to the
     second half through the Frozen branch; any other applies it to the
-    batch and adds its extra term: lwf a feature-distance penalty to the
-    pre-trained copy `aux["pretrained"]`, joint the source-task CE on a
-    batch from `aux["source_batch"]`, attacked through the source head.
+    batch and adds its extra term: lwf a feature-distance penalty to
+    `reference`, the pre-trained copy, joint the source-task CE on
+    `source`, an (x, y) batch attacked through the source head.
     """
     method = METHODS.get(cfg.method)
     if method is None:
         raise ValueError(f"unknown training method: {cfg.method!r}")
     if method.twins and len(yb) % 2 != 0:
         raise ValueError("twins losses need an even batch")
-    if method.joint:
-        if "src_head.w" not in model.params:
-            raise ValueError("joint training needs a source-task head")
-        # drawn before the target attack, which also consumes `rng`
-        xs, ys = aux["source_batch"](len(yb))
+    if method.joint and "src_head.w" not in model.params:
+        raise ValueError("joint training needs a source-task head")
     if not method.attack:
         adv = xb
     elif adv is None:
@@ -196,11 +195,11 @@ def batch_loss(model, xb, yb, cfg, rng, aux=None, adv=None,
     loss, feats = _wing(model, xb, adv, yb, BranchMode.ADAPTIVE_TRAIN, beta,
                         update_running)
     if method.lwf and cfg.lambda_lwf != 0.0:
-        pretrained = aux["pretrained"]
-        with untracked(pretrained.params):
-            ref, _ = pretrained.forward(adv, BranchMode.INFERENCE)
+        with untracked(reference.params):
+            ref, _ = reference.forward(adv, BranchMode.INFERENCE)
         loss = loss + cfg.lambda_lwf * feature_distance(feats, ref.data)
     if method.joint and cfg.lambda_uot != 0.0:
+        xs, ys = source
         adv_src = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, xs, ys,
                              cfg.attack, rng, head="source")
         _, logits = model.forward(adv_src, BranchMode.ADAPTIVE_TRAIN,
@@ -217,14 +216,6 @@ def trainable_names(model, method):
             and (m.joint or not name.startswith("src_head"))]
 
 
-def flat_grad_norm(grads, names):
-    total = 0.0
-    for name in names:
-        g = grads[name]
-        total += float((g.astype(np.float64) ** 2).sum())
-    return float(np.sqrt(total))
-
-
 def run_training(cfg, train_data, val_data, model, source_data=None):
     """The per-epoch / per-batch loop; returns (model, history).
 
@@ -232,28 +223,17 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
     pre-training is this same loop with method "at" from random init.
     An empty validation split fails in `evaluate`, after the first epoch.
     """
-    from .analysis import evaluate, grad_norm_epoch_stats, weight_distance
-
     x_train, y_train = train_data
     rng = np.random.default_rng(cfg.seed)
     names = trainable_names(model, cfg.method)
     init_params = {n: model.params[n].data.copy() for n in names}
     velocity = {}
 
-    aux = {}
     method = METHODS[cfg.method]
-    if method.lwf:
-        aux["pretrained"] = copy_model(model)
-    if method.joint:
-        if source_data is None:
-            raise ValueError("joint training needs source data")
-        xs_all, ys_all = source_data
-
-        def draw_source(count):
-            idx = rng.integers(0, len(ys_all), size=count)
-            return xs_all[idx], ys_all[idx]
-
-        aux["source_batch"] = draw_source
+    if method.joint and source_data is None:
+        raise ValueError("joint training needs source data")
+    reference = copy_model(model) if method.lwf else None
+    source = None  # joint's source rows, drawn per batch
 
     history = []
     for epoch in range(cfg.epochs):
@@ -264,15 +244,19 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
         starts = range(0, len(order) - cfg.batch + 1, cfg.batch)
         for batch, start in enumerate(starts):
             idx = order[start:start + cfg.batch]
+            if method.joint:
+                # drawn before the target attack, which also consumes `rng`
+                pick = rng.integers(0, len(source_data[1]), size=len(idx))
+                source = source_data[0][pick], source_data[1][pick]
             # a diverging step overflows here, and the check below names it
             with np.errstate(over="ignore", invalid="ignore"):
                 loss = batch_loss(model, x_train[idx], y_train[idx], cfg,
-                                  rng, aux)
+                                  rng, reference, source)
                 grads = backprop(loss, model.params, names)
             losses.append(loss.item())
             # frees the batch's graph, so the next batch reuses its memory
             del loss
-            norms.append(flat_grad_norm(grads, names))
+            norms.append(l2_norm(grads[n] for n in names))
             if not (np.isfinite(losses[-1]) and np.isfinite(norms[-1])):
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {batch}: "
@@ -287,7 +271,7 @@ def run_training(cfg, train_data, val_data, model, source_data=None):
         current = {n: model.params[n].data for n in names}
         history.append(EpochRecord(
             epoch=epoch, lr=rate,
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
+            train_loss=float(np.mean(losses)),
             clean_acc=clean_acc, pgd_acc=pgd_acc,
             grad_norm_mean=gmean, grad_norm_cv=gcv,
             weight_dist=weight_distance(current, init_params)))

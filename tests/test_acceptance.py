@@ -173,9 +173,10 @@ def test_criterion_5_loss_reduction_identities():
                           rand_init=False)
     adv = pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, attack)
 
-    def loss(method, xs, ys, advs, aux=None, **kw):
+    def loss(method, xs, ys, advs, reference=None, source=None, **kw):
         cfg = TrainConfig(method=method, batch=8, attack=attack, **kw)
-        return batch_loss(model, xs, ys, cfg, None, aux, adv=advs,
+        return batch_loss(model, xs, ys, cfg, None, reference=reference,
+                          source=source, adv=advs,
                           update_running=False).item()
 
     at_half = loss("at", x[:4], y[:4], adv[:4])
@@ -187,10 +188,9 @@ def test_criterion_5_loss_reduction_identities():
         "twins-trades(l=0)=trades": loss(
             "twins-trades", x, y, adv, lambda_twins=0.0, beta=6.0)
         == loss("trades", x[:4], y[:4], adv[:4], beta=6.0),
-        "lwf(l=0)=at": loss("lwf", x, y, adv, {"pretrained": model},
+        "lwf(l=0)=at": loss("lwf", x, y, adv, reference=model,
                             lambda_lwf=0.0) == at_full,
-        "joint(l=0)=at": loss("joint", x, y, adv,
-                              {"source_batch": lambda n: (x[:n], y[:n])},
+        "joint(l=0)=at": loss("joint", x, y, adv, source=(x, y),
                               lambda_uot=0.0) == at_full,
     }
     _report(5, "loss reduction identities", all(checks.values()),

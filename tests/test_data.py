@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twins_lab.data import (DatasetSpec, IdxCountMismatchError,
-                            IdxFormatError, gen_synthetic_dataset,
-                            load_dataset, load_idx, save_idx,
-                            split_train_val, val_count)
+from twins_lab.data import (DatasetSpec, IdxFormatError,
+                            gen_synthetic_dataset, load_dataset, load_idx,
+                            save_idx, split_train_val, val_count)
 
 
 def test_spec_validation():
@@ -158,7 +157,7 @@ def test_idx_truncated_pixels(tmp_path):
 
 def test_idx_count_mismatch(tmp_path):
     ip, lp = _write_pair(tmp_path, n_images=3, n_labels=4)
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(IdxFormatError, match="^3 images but 4 labels$"):
         load_idx(ip, lp)
 
 
@@ -187,7 +186,7 @@ def test_idx_rejects_every_header_flip_cut_and_extra_byte(tmp_path):
     for image_bytes, label_bytes in cases:
         ip.write_bytes(image_bytes)
         lp.write_bytes(label_bytes)
-        with pytest.raises((IdxFormatError, IdxCountMismatchError)):
+        with pytest.raises(IdxFormatError):
             load_idx(str(ip), str(lp))
     ip.write_bytes(images)
     lp.write_bytes(labels)

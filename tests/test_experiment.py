@@ -627,6 +627,44 @@ def test_cli_pretrain_needs_a_pretrain_stage(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("method", "joint"),
+                                        ("warmup_epochs", 1)])
+@pytest.mark.parametrize("command", ["pretrain", "run"])
+def test_cli_refuses_pretrain_keys_pretraining_never_reads(
+        tmp_path, capsys, command, key, value):
+    """Pre-training starts from random init: it has no source head for
+    joint to train and no frozen statistics for a warmup to fill."""
+    out = tmp_path / "out"
+    cfg = _with_pretrain(_base_config(str(out)))
+    cfg["pretrain"][key] = value
+    assert main([command, _write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: pretrain: {key}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 1.36 PiB for an array")
+
+
+@pytest.mark.parametrize("command, module, loader", [
+    ("gen-data", cli, "load_records"), ("run", experiment, "load_dataset")],
+    ids=["gen-data", "run"])
+def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch,
+                                           command, module, loader):
+    """A dataset too large to allocate stops with an error line, as numpy
+    refuses an array of 10^12 images at once."""
+    monkeypatch.setattr(module, loader, _out_of_memory)
+    out = tmp_path / "out"
+    assert main([command, _write_config(tmp_path,
+                                        _base_config(str(out)))]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 1.36 PiB for "
+                   "an array\n")
+    assert not out.exists()
+
+
 def test_cli_finetune_reads_its_checkpoint_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     ckpt = str(tmp_path / "absent.ckpt")

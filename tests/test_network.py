@@ -241,6 +241,19 @@ def test_copy_model_is_bitwise_and_independent():
                               clone.params["conv1"].data)
 
 
+def test_load_state_dict_names_the_array_and_both_shapes():
+    """One message for a parameter and for a BN statistic."""
+    model = _model()
+    for name, shape, expected in (("conv2", (6, 4, 3, 1), (6, 4, 3, 3)),
+                                  ("bn1.frozen_var", (5,), (4,))):
+        state = model.state_dict()
+        state[name] = np.ones(shape)
+        with pytest.raises(ValueError) as info:
+            model.load_state_dict(state)
+        assert str(info.value) == (f"shape mismatch for {name!r}: {shape}, "
+                                   f"expected {expected}")
+
+
 def test_finetune_model_inherits_backbone_and_stats():
     pre = _model(classes=4, seed=9)
     for state in pre.bn:

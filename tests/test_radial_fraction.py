@@ -72,13 +72,12 @@ def radial_fractions(method, bn_eps, seed):
     x = rng.uniform(size=(32, 3, 8, 8))
     y = rng.integers(0, 2, size=32)
     model = make_finetune_model(_pretrained(bn_eps), 2, seed=seed)
-    aux = {"pretrained": copy_model(model),
-           "source_batch": lambda n: (x[:n], y[:n])}
     cfg = TrainConfig(method=method, batch=32, attack=ATTACK, lambda_lwf=1.0,
                       lambda_uot=1.0)
     names = model.conv_names()
-    grads = backprop(batch_loss(model, x, y, cfg, rng, aux), model.params,
-                     names)
+    grads = backprop(batch_loss(model, x, y, cfg, rng,
+                                reference=copy_model(model), source=(x, y)),
+                     model.params, names)
     fractions = []
     for name in names:
         w = model.params[name].data.reshape(len(grads[name]), -1)

@@ -37,18 +37,18 @@ def _batch(seed=0, n=8, classes=3):
 
 
 def _method_batch(method, dtype):
-    """A fine-tuning model, batch, config and aux map for `method`."""
+    """A fine-tuning model, batch, config and `batch_loss`'s reference and
+    source keywords for `method`."""
     pre = MiniCNN(ModelConfig(input_shape=(3, 8, 8), widths=(4, 6),
                               target_classes=4, dtype=dtype),
                   rng=np.random.default_rng(0))
     model = make_finetune_model(pre, target_classes=3, seed=1)
     x, y = _batch(n=8)
     x = x.astype(dtype)
-    aux = {"pretrained": copy_model(model),
-           "source_batch": lambda n: (x[:n], y[:n])}
+    inputs = {"reference": copy_model(model), "source": (x, y)}
     cfg = TrainConfig(method=method, attack=ATTACK, lambda_lwf=0.5,
                       lambda_uot=0.5)
-    return model, x, y, cfg, aux
+    return model, x, y, cfg, inputs
 
 
 def _graph_nodes(root):
@@ -64,11 +64,12 @@ def _graph_nodes(root):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_batch_graph_is_freed_without_the_cyclic_collector(method):
-    model, x, y, cfg, aux = _method_batch(method, "float32")
+    model, x, y, cfg, inputs = _method_batch(method, "float32")
     gc.collect()
     gc.disable()
     try:
-        loss = batch_loss(model, x, y, cfg, np.random.default_rng(2), aux)
+        loss = batch_loss(model, x, y, cfg, np.random.default_rng(2),
+                          **inputs)
         backprop(loss, model.params, trainable_names(model, method))
         del loss
         assert gc.collect() == 0
@@ -79,8 +80,8 @@ def test_batch_graph_is_freed_without_the_cyclic_collector(method):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("method", METHODS)
 def test_every_gradient_has_its_node_dtype_and_shape(method, dtype):
-    model, x, y, cfg, aux = _method_batch(method, dtype)
-    loss = batch_loss(model, x, y, cfg, np.random.default_rng(2), aux)
+    model, x, y, cfg, inputs = _method_batch(method, dtype)
+    loss = batch_loss(model, x, y, cfg, np.random.default_rng(2), **inputs)
     loss.backward()
     nodes = _graph_nodes(loss)
     assert len(nodes) > 10
@@ -149,10 +150,10 @@ def _shared_adv(model, x, y):
     return pgd_attack(model, BranchMode.ADAPTIVE_TRAIN, x, y, ATTACK)
 
 
-def _loss(model, x, y, adv, method, aux=None, **kw):
+def _loss(model, x, y, adv, method, reference=None, source=None, **kw):
     cfg = TrainConfig(method=method, batch=8, attack=ATTACK, **kw)
-    return batch_loss(model, x, y, cfg, None, aux, adv=adv,
-                      update_running=False)
+    return batch_loss(model, x, y, cfg, None, reference=reference,
+                      source=source, adv=adv, update_running=False)
 
 
 def test_twins_at_zero_penalty_reduces_to_at_bitwise():
@@ -187,8 +188,7 @@ def test_lwf_zero_penalty_reduces_to_at_bitwise():
     model = _finetune_model(seed=4)
     x, y = _batch(seed=4)
     adv = _shared_adv(model, x, y)
-    lwf = _loss(model, x, y, adv, "lwf", {"pretrained": model},
-                lambda_lwf=0.0)
+    lwf = _loss(model, x, y, adv, "lwf", reference=model, lambda_lwf=0.0)
     plain = _loss(model, x, y, adv, "at")
     assert lwf.item() == plain.item()
 
@@ -200,7 +200,7 @@ def test_lwf_penalty_adds_the_feature_distance():
     x, y = _batch(seed=4)
     adv = _shared_adv(model, x, y)
     pretrained = copy_model(model)
-    lwf = _loss(model, x, y, adv, "lwf", {"pretrained": pretrained},
+    lwf = _loss(model, x, y, adv, "lwf", reference=pretrained,
                 lambda_lwf=0.5)
     plain = _loss(model, x, y, adv, "at")
     feats, _ = model.forward(adv, BranchMode.ADAPTIVE_TRAIN)
@@ -215,9 +215,7 @@ def test_joint_zero_penalty_reduces_to_at_bitwise():
     model = _finetune_model(seed=5)
     x, y = _batch(seed=5)
     adv = _shared_adv(model, x, y)
-    joint = _loss(model, x, y, adv, "joint",
-                  {"source_batch": lambda n: (x[:n], y[:n])},
-                  lambda_uot=0.0)
+    joint = _loss(model, x, y, adv, "joint", source=(x, y), lambda_uot=0.0)
     plain = _loss(model, x, y, adv, "at")
     assert joint.item() == plain.item()
 
@@ -257,8 +255,7 @@ def test_joint_requires_source_head():
     x, y = _batch(seed=8)
     tcfg = TrainConfig(method="joint", attack=ATTACK)
     with pytest.raises(ValueError, match="source-task head"):
-        batch_loss(model, x, y, tcfg, None,
-                   {"source_batch": lambda n: (x[:n], y[:n])})
+        batch_loss(model, x, y, tcfg, None, source=(x, y))
 
 
 @pytest.mark.parametrize("method", METHODS)
