@@ -88,11 +88,6 @@ class ExperimentConfig:
             raise ConfigError(f"model.source_classes must be 0, got "
                               f"{model.source_classes}: pre-training or "
                               "the checkpoint sets the source head")
-        # a target's classes are its label bound, whatever its source
-        if self.target_data.classes > model.target_classes:
-            raise ConfigError(f"target_data: classes "
-                              f"{self.target_data.classes} exceeds "
-                              f"model.target_classes {model.target_classes}")
         for key, spec in (("target_data", self.target_data),
                           ("source_data", self.source_data)):
             if spec is None:
@@ -101,12 +96,6 @@ class ExperimentConfig:
                 if path and not os.path.exists(path):
                     raise ConfigError(f"{key}: referenced file {path!r} "
                                       "missing")
-            if (spec.source == "synthetic"
-                    and tuple(spec.image_shape) != model.input_shape):
-                raise ConfigError(f"{key}: image_shape "
-                                  f"{list(spec.image_shape)} differs from "
-                                  f"model.input_shape "
-                                  f"{list(model.input_shape)}")
 
 
 def parse_config(raw):
@@ -129,8 +118,7 @@ def load_config(path, edits=None):
     return parse_config(raw)
 
 
-# each stage's dataset, and whether it trains on it; eval attacks it
-# instead, through the model's head, which must hold its classes
+# each stage's dataset, and whether it trains on it; eval attacks it instead
 _READS = {"pretrain": ("source_data", True),
           "finetune": ("target_data", True), "eval": ("target_data", False)}
 
@@ -138,28 +126,33 @@ _READS = {"pretrain": ("source_data", True),
 def load_data(cfg, stages, model, model_from):
     """(target, source): the (train, val) pairs of the datasets `stages`
     read (`_READS`, and joint's source), each loaded once and checked
-    against `model`, the ModelConfig of `model_from` ("the config" or
-    "checkpoint PATH"); None for a dataset no stage reads. ConfigError,
-    naming the key, for an undeclared stage, joint without source_data,
-    or more classes than the head of `model` that reads them has (eval's
-    target, joint's source), before loading; then for images not of
+    against the model that reads it; None for a dataset no stage reads.
+    `model` is the ModelConfig of `model_from` ("the config" or
+    "checkpoint PATH"), the model eval attacks or fine-tuning starts
+    from. ConfigError, naming the key, for an undeclared stage, joint
+    without source_data, or more classes than the head that reads them
+    has (the config's for finetune's target, `model`'s for eval's target
+    and joint's source), before loading; then for images not of
     model.input_shape, or a batch larger than its train split (it would
     train no step). ValueError naming the key for an empty val split."""
-    heads = [_READS[name][0] for name in stages if not _READS[name][1]]
     for name in stages:
         if _READS[name][1] and getattr(cfg, name) is None:
             raise ConfigError(f"{name}: the config declares no {name} stage")
-    if "finetune" in stages and METHODS[cfg.finetune.method].joint:
-        if cfg.source_data is None:
-            raise ConfigError("joint fine-tuning needs source_data")
-        heads.append("source_data")  # joint trains model's head on it
-    for key in heads:
+    # (dataset, ModelConfig of the head that reads its labels, its name)
+    heads = [("target_data", model, model_from)] if "eval" in stages else []
+    if "finetune" in stages:
+        heads.append(("target_data", cfg.model, "the config"))
+        if METHODS[cfg.finetune.method].joint:
+            if cfg.source_data is None:
+                raise ConfigError("joint fine-tuning needs source_data")
+            heads.append(("source_data", model, model_from))
+    for key, head, head_from in heads:
         classes = getattr(cfg, key).classes
-        if classes > model.target_classes:
+        if classes > head.target_classes:
             raise ConfigError(f"{key}: classes {classes} exceeds "
-                              f"model.target_classes {model.target_classes} "
-                              f"of {model_from}")
-    reads = {_READS[name][0] for name in stages} | set(heads)
+                              f"model.target_classes {head.target_classes} "
+                              f"of {head_from}")
+    reads = {_READS[name][0] for name in stages} | {h[0] for h in heads}
     data = {key: load_dataset(getattr(cfg, key))
             for key in ("target_data", "source_data") if key in reads}
     for key, (train, _) in data.items():
@@ -188,12 +181,10 @@ def write_metrics(history, path):
     if len(history) == 0:
         raise ValueError("refusing to write an empty metrics file")
     lines = [METRICS_HEADER]
-    for rec in history:
-        lines.append(",".join([
-            str(rec.epoch), f"{rec.lr:.12g}", f"{rec.train_loss:.12g}",
-            f"{rec.clean_acc:.12g}", f"{rec.pgd_acc:.12g}",
-            f"{rec.grad_norm_mean:.12g}", f"{rec.grad_norm_cv:.12g}",
-            f"{rec.weight_dist:.12g}"]))
+    for rec in history:  # format(v, "") is str(v)
+        lines.append(",".join(
+            format(getattr(rec, name), "" if name == "epoch" else ".12g")
+            for name in METRICS_HEADER.split(",")))
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -252,8 +243,9 @@ def run_pretrain(cfg, source):
 
 
 def run_finetune(cfg, pretrained, seed, target, source=None, tag=""):
-    """Warmup (optional) plus fine-tuning for one seed, whose checkpoint
-    and metrics go to cfg.out_dir.
+    """Warmup (for a twins method, the only ones that read the Frozen
+    branch) plus fine-tuning for one seed, whose checkpoint and metrics
+    go to cfg.out_dir.
 
     `target` and `source` are the pairs `load_data` returns; `source` is
     None unless the method is `joint`. Both are only read, so one load
@@ -263,7 +255,7 @@ def run_finetune(cfg, pretrained, seed, target, source=None, tag=""):
     ft = dataclasses.replace(cfg.finetune, seed=seed)
     model = make_finetune_model(pretrained, cfg.model.target_classes,
                                 seed=seed)
-    if ft.warmup_epochs > 0:
+    if ft.warmup_epochs > 0 and METHODS[ft.method].twins:
         warmup_bn(model, train[0], ft.attack,
                   rng=np.random.default_rng(seed + 7919),
                   warmup_epochs=ft.warmup_epochs, batch=ft.batch)

@@ -17,10 +17,12 @@ from twins_lab.checkpoint import load_checkpoint, save_checkpoint
 from twins_lab.data import DatasetSpec, load_dataset
 from twins_lab.network import (BranchMode, MiniCNN, ModelConfig,
                                make_finetune_model)
-from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
-                              linear, softmax_cross_entropy)
+from twins_lab.tensor import backprop, finite_diff_grad, softmax_cross_entropy
 from twins_lab.training import (TrainConfig, batch_loss, run_training,
                                 warmup_bn)
+
+# pytest's default import mode puts tests/ on sys.path
+from test_attack import LinearSoftmaxModel
 
 
 def _report(num, desc, ok, detail=""):
@@ -123,25 +125,9 @@ def test_criterion_3_frozen_gradient_formula():
             f"max rel err {worst:.3e}, {elapsed:.1f}s")
 
 
-class _LinearSoftmaxModel:
-    def __init__(self, w, b):
-        self.config = ModelConfig(dtype="float64")
-        self.params = {
-            "w": Tensor(w, requires_grad=True, dtype=np.float64),
-            "b": Tensor(b, requires_grad=True, dtype=np.float64)}
-        self.w = self.params["w"].data
-        self.b = self.params["b"].data
-
-    def forward(self, x, mode, head="target", update_running=False,
-                capture=None):
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
-        return x, linear(x, self.params["w"], self.params["b"])
-
-
 def test_criterion_4_pgd_closed_form():
     rng = np.random.default_rng(60)
-    model = _LinearSoftmaxModel(rng.normal(size=(12, 3)), rng.normal(size=3))
+    model = LinearSoftmaxModel(rng.normal(size=(12, 3)), rng.normal(size=3))
     n = 5
     x = rng.uniform(0.2, 0.8, size=(n, 1, 3, 4))
     y = rng.integers(0, 3, size=n)

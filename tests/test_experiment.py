@@ -486,7 +486,8 @@ def _idx_target(labels):
     (_set("finetune.decay", -1.0), "decay"),
     (_set("target_data.classes", 300), "classes"),
     (_set("target_data.image_shape", [3, 0, 8]), "image_shape"),
-    (_with_source_data([1, 8, 8]), "image_shape"),
+    # checked once loaded, against the model that reads it
+    (_with_source_data([1, 8, 8]), "source images are [1, 8, 8]"),
     # `classes` bounds a file's labels too
     (_npz_target(5), "target_data: classes"),
     (_set("target_data.per_class", -1), "target_data: per_class"),
@@ -874,10 +875,9 @@ def test_cli_checks_loaded_images_against_the_model(tmp_path, capsys,
                                                     monkeypatch, command,
                                                     input_shape, key, data,
                                                     shape):
-    """Only a synthetic spec's image_shape is checked with the config, so
-    a file's images are checked once loaded, against the config's model
-    (`run`, `pretrain`) or the checkpoint's (`finetune`), before anything
-    is trained or written."""
+    """Every dataset's images are checked once loaded, against the model
+    that reads them: the config's (`run`, `pretrain`) or the
+    checkpoint's (`finetune`), before anything is trained or written."""
     monkeypatch.setattr(training, "batch_loss", _no_training)
     monkeypatch.setattr(experiment, "warmup_bn", _no_training)
     out = tmp_path / "out"
@@ -959,6 +959,74 @@ def test_cli_joint_checks_source_classes_against_the_checkpoint(
                           f"model.target_classes 2 of checkpoint {ckpt}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _checkpoint_of(tmp_path, cfg, **model):
+    """The path of a fresh checkpoint of `cfg`'s model with `model`'s
+    keys replaced."""
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, MiniCNN(dataclasses.replace(
+        parse_config(cfg).model, **model)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval"])
+def test_cli_checks_a_synthetic_target_against_the_checkpoint(
+        tmp_path, capsys, command):
+    """Synthetic 1x8x8 images fit a 1x8x8 checkpoint, whatever the
+    config's model.input_shape; they once failed against the config's."""
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))  # model.input_shape [3, 8, 8]
+    ckpt = _checkpoint_of(tmp_path, cfg, input_shape=(1, 8, 8))
+    cfg["target_data"]["image_shape"] = [1, 8, 8]
+    argv = [command, _write_config(tmp_path, cfg), "--checkpoint", ckpt]
+    assert main(argv) == 0, capsys.readouterr().err
+    if command == "finetune":
+        assert load_checkpoint(str(out / "finetuned_std_seed0.ckpt"))[0] \
+            .config.input_shape == (1, 8, 8)
+
+
+def test_cli_eval_reads_the_checkpoints_classes(tmp_path, capsys):
+    """eval attacks the checkpoint's head, so a 3-class target fits a
+    3-class checkpoint whatever the config's model.target_classes."""
+    cfg = _base_config(str(tmp_path / "out"))  # model.target_classes 2
+    ckpt = _checkpoint_of(tmp_path, cfg, target_classes=3)
+    cfg["target_data"]["classes"] = 3
+    argv = ["eval", _write_config(tmp_path, cfg), "--checkpoint", ckpt]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert 0.0 <= json.loads(capsys.readouterr().out)["pgd_acc"] <= 1.0
+
+
+def test_cli_finetune_checks_target_classes_against_the_config(
+        tmp_path, capsys, monkeypatch):
+    """finetune gives the model a new head of the config's
+    model.target_classes, not the checkpoint's, so a 3-class target
+    fails on a 3-class checkpoint when the config asks for 2."""
+    monkeypatch.setattr(training, "batch_loss", _no_training)
+    out = tmp_path / "out"
+    cfg = _base_config(str(out))  # model.target_classes 2
+    ckpt = _checkpoint_of(tmp_path, cfg, target_classes=3)
+    cfg["target_data"]["classes"] = 3
+    argv = ["finetune", _write_config(tmp_path, cfg), "--checkpoint", ckpt]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target_data: classes 3 exceeds "
+                          "model.target_classes 2 of the config")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_warms_up_only_a_twins_method(tmp_path):
+    """Only a twins method reads the Frozen branch, whose statistics the
+    warmup fills, so `at` writes the same files at any warmup_epochs."""
+    cfg = _base_config("ignored")
+    cfg["finetune"]["method"] = "at"
+    for warmup in (0, 1):
+        cfg["finetune"]["warmup_epochs"] = warmup
+        argv = ["run", _write_config(tmp_path, cfg), "--out",
+                str(tmp_path / f"w{warmup}")]
+        assert main(argv) == 0
+    assert _artifacts(tmp_path / "w1") == _artifacts(tmp_path / "w0")
 
 
 @pytest.mark.parametrize("command, stage", [
