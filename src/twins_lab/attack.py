@@ -8,16 +8,16 @@ what the input gradient needs and contain no parameter node.
 
 Under fixed statistics (INFERENCE and FROZEN_TRAIN) each image's
 gradient is independent of the rest of its batch, so an even batch of
-at least `_MIN_SPLIT_BATCH` images is attacked as two equal halves,
-each on its own graph, each step writing into its rows of one output
-array in place. `evaluate`'s full batches of 256 images make halves of
-128. Where the process may run on two or more CPUs, the second half
-runs in a worker thread while the first runs in the calling thread; on
-one CPU the halves run one after the other. Every array operation sees
-the same operands either way, so results are bit-identical on any
-number of CPUs. The random start is still drawn for the whole batch
-first. ADAPTIVE_TRAIN attacks stay whole, because batch statistics
-couple the images, and so do odd and smaller batches.
+at least `_MIN_SPLIT_BATCH` images is attacked as two equal halves and
+any other batch as one part (ADAPTIVE_TRAIN's batch statistics couple
+the images). Each part has its own graph and writes each step into its
+rows of one output array in place, from a random start drawn for the
+whole batch; `evaluate`'s batches of 256 make halves of 128. Where two
+CPUs are usable the second half runs on a worker thread while the
+caller runs the first, else the caller runs both in turn; a failure in
+any part is raised by the caller once the worker has finished. Every
+array operation sees the same operands either way, so results are
+bit-identical on any number of CPUs.
 
 The halves also reproduce the whole-batch attack wherever BLAS rounds a
 row the same way in products of n and n/2 rows: a half's mean loss
@@ -28,9 +28,8 @@ the input gradient is unchanged. OpenBLAS 0.3.31 on an AVX-512 CPU
 rounds alike for batches of 128, 176 and 256 images of 3x16x16 (PGD-10
 with widths 16/32), but not for every shape: a product with a row count
 off its kernels' unroll, or one small enough for its small-matrix
-kernels, may round differently. That is why
-the halves, and not the whole batch, are the computation on every CPU
-count.
+kernels, may round differently. That is why the halves, and not the
+whole batch, are the computation on every CPU count.
 """
 
 import os
@@ -107,46 +106,40 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
     x = np.asarray(x, dtype=model.config.np_dtype())
     if cfg.epsilon == 0.0:
         return x.copy()
+    lo, hi = _linf_bounds(x, cfg.epsilon)
+    x_adv = x.copy()
     with untracked(model.params):
         if cfg.rand_init:
             if rng is None:
                 rng = np.random.default_rng()
-            # the noise is freed at once; the steps hold the bounds instead
-            x_adv = project_linf(
-                x + rng.uniform(-cfg.epsilon, cfg.epsilon,
-                                size=x.shape).astype(x.dtype), x, cfg.epsilon)
-        else:
-            x_adv = x.copy()
-        lo, hi = _linf_bounds(x, cfg.epsilon)
+            x_adv += rng.uniform(-cfg.epsilon, cfg.epsilon,
+                                 size=x.shape).astype(x.dtype)
+            _clamp(x_adv, lo, hi, out=x_adv)
         n = len(x)
-        if (branch not in _PER_IMAGE_BRANCHES or n < _MIN_SPLIT_BATCH
-                or n % 2):
-            return _ascend(model, branch, x, x_adv, y, lo, hi, cfg, head)
+        parts = [slice(None)]
+        if (branch in _PER_IMAGE_BRANCHES and n >= _MIN_SPLIT_BATCH
+                and n % 2 == 0):
+            parts = [slice(0, n // 2), slice(n // 2, None)]
         y = None if y is None else np.asarray(y)
-        first, second = slice(0, n // 2), slice(n // 2, None)
+        failures = []  # re-raised by the caller once every part is done
 
         def ascend(rows):
-            _ascend(model, branch, x[rows], x_adv[rows],
-                    None if y is None else y[rows], lo[rows], hi[rows], cfg,
-                    head)
-
-        if _usable_cpus() < 2:
-            ascend(first)
-            ascend(second)
-            return x_adv
-        failures = []
-
-        def ascend_second():
+            if failures:
+                return
             try:
-                ascend(second)
-            except BaseException as exc:  # re-raised in the calling thread
+                _ascend(model, branch, x[rows], x_adv[rows],
+                        None if y is None else y[rows], lo[rows], hi[rows],
+                        cfg, head)
+            except BaseException as exc:
                 failures.append(exc)
 
-        worker = threading.Thread(target=ascend_second)
-        worker.start()
-        try:
-            ascend(first)
-        finally:
+        worker = None
+        if len(parts) == 2 and _usable_cpus() >= 2:
+            worker = threading.Thread(target=ascend, args=(parts.pop(),))
+            worker.start()
+        for rows in parts:
+            ascend(rows)
+        if worker is not None:
             worker.join()
         if failures:
             raise failures[0]
@@ -155,9 +148,9 @@ def pgd_attack(model, branch, x, y, cfg, rng=None, head="target"):
 
 def _ascend(model, branch, x, x_adv, y, lo, hi, cfg, head):
     """Take `cfg.steps` signed-gradient steps from `x_adv`, each clamped
-    into [lo, hi], writing each step into `x_adv` in place; returns
-    `x_adv`. The kl_to_clean target is the branch's prediction on the
-    same rows of `x`, so a step at `x` itself has a zero gradient."""
+    into [lo, hi] and written into `x_adv` in place. The kl_to_clean
+    target is the branch's prediction on the same rows of `x`, so a step
+    at `x` itself has a zero gradient."""
     clean_logits = None
     if cfg.loss_kind == "kl_to_clean":
         # the values only, so no graph of the clean pass stays alive
@@ -169,7 +162,6 @@ def _ascend(model, branch, x, x_adv, y, lo, hi, cfg, head):
         x_adv += step
         del step  # freed before the next step's graph is built
         _clamp(x_adv, lo, hi, out=x_adv)
-    return x_adv
 
 
 def _ascent_sign(model, branch, x_adv, y, clean_logits, cfg, head):

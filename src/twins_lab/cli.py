@@ -38,7 +38,10 @@ def _cmd_gen_data(args):
                        ("source", cfg.source_data)):
         if spec is None:
             continue
-        x, y = load_records(spec)
+        try:
+            x, y = load_records(spec)
+        except MemoryError as exc:
+            raise MemoryError(f"{name}_data: {exc}") from exc
         if x.shape[1] == 1:
             save_idx(x, y, os.path.join(cfg.out_dir, f"{name}-images.idx"),
                      os.path.join(cfg.out_dir, f"{name}-labels.idx"))

@@ -134,7 +134,8 @@ def load_data(cfg, stages, model, model_from):
     has (the config's for finetune's target, `model`'s for eval's target
     and joint's source), before loading; then for images not of
     model.input_shape, or a batch larger than its train split (it would
-    train no step). ValueError naming the key for an empty val split."""
+    train no step). ValueError naming the key for an empty val split, and
+    MemoryError naming it for a dataset too large to allocate."""
     for name in stages:
         if _READS[name][1] and getattr(cfg, name) is None:
             raise ConfigError(f"{name}: the config declares no {name} stage")
@@ -153,8 +154,13 @@ def load_data(cfg, stages, model, model_from):
                               f"model.target_classes {head.target_classes} "
                               f"of {head_from}")
     reads = {_READS[name][0] for name in stages} | {h[0] for h in heads}
-    data = {key: load_dataset(getattr(cfg, key))
-            for key in ("target_data", "source_data") if key in reads}
+    data = {}
+    for key in ("target_data", "source_data"):
+        if key in reads:
+            try:
+                data[key] = load_dataset(getattr(cfg, key))
+            except MemoryError as exc:
+                raise MemoryError(f"{key}: {exc}") from exc
     for key, (train, _) in data.items():
         shape = train[0].shape[1:]
         if shape != model.input_shape:

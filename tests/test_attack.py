@@ -317,18 +317,23 @@ def test_attack_split_rule(monkeypatch, branch, n, cpus, threads, rows):
         assert {ident for ident, _ in calls} == {threading.get_ident()}
 
 
-def test_attack_half_failure_is_raised_by_the_caller(monkeypatch):
+@pytest.mark.parametrize("row", [0, -1], ids=["first", "second"])
+def test_attack_half_failure_is_raised_by_the_caller(monkeypatch, row):
+    """The caller runs the first half and the worker thread the second;
+    either one's failure reaches the caller once the worker is done."""
     monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
     model = _mini_model()
     flags = {name: p.requires_grad for name, p in model.params.items()}
+    threads = threading.active_count()
     x = np.random.default_rng(15).uniform(size=(128, 3, 8, 8))
     y = np.zeros(128, int)
-    y[-1] = 7  # out of range, in the second half only
+    y[row] = 7  # out of range, in one half only
     cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=2)
     with pytest.raises(ValueError, match="labels must lie in"):
         pgd_attack(model, BranchMode.INFERENCE, x, y, cfg,
                    rng=np.random.default_rng(0))
     assert {name: p.requires_grad for name, p in model.params.items()} == flags
+    assert threading.active_count() == threads
 
 
 def test_attack_restores_each_parameter_flag_and_stale_gradient():

@@ -654,15 +654,15 @@ def _out_of_memory(*args, **kwargs):
     ids=["gen-data", "run"])
 def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch,
                                            command, module, loader):
-    """A dataset too large to allocate stops with an error line, as numpy
-    refuses an array of 10^12 images at once."""
+    """A dataset too large to allocate stops with an error line naming
+    it, as numpy refuses an array of 10^12 images at once."""
     monkeypatch.setattr(module, loader, _out_of_memory)
     out = tmp_path / "out"
     assert main([command, _write_config(tmp_path,
                                         _base_config(str(out)))]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: out of memory: Unable to allocate 1.36 PiB for "
-                   "an array\n")
+    assert err == ("error: out of memory: target_data: Unable to allocate "
+                   "1.36 PiB for an array\n")
     assert not out.exists()
 
 
