@@ -15,9 +15,10 @@ rows of one output array in place, from a random start drawn for the
 whole batch; `evaluate`'s batches of 256 make halves of 128. Where two
 CPUs are usable the second half runs on a worker thread while the
 caller runs the first, else the caller runs both in turn; a failure in
-any part is raised by the caller once the worker has finished. Every
-array operation sees the same operands either way, so results are
-bit-identical on any number of CPUs.
+any part is raised by the caller once the worker has finished. There is
+no switch for the split. Every array operation sees the same operands
+either way, so results are bit-identical on any number of CPUs and BLAS
+threads.
 
 The halves also reproduce the whole-batch attack wherever BLAS rounds a
 row the same way in products of n and n/2 rows: a half's mean loss

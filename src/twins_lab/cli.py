@@ -164,6 +164,9 @@ def keep_freed_memory():
 
     Applies glibc's mallopt; returns whether every setting took. Where
     the C library has no mallopt (macOS, Windows, musl), does nothing.
+    `main` applies it before every command, a fixed policy with no
+    option; library callers may apply it too, as the test suite does.
+    Results are the same bit for bit either way.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -123,19 +123,24 @@ class MiniCNN:
         self.params = {}  # name -> trainable Tensor, in checkpoint order
         self.bn = []
         c_in = config.input_shape[0]
-        for i, c_out in enumerate(config.widths, start=1):
-            fan_in = c_in * 9
-            k = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                           size=(c_out, c_in, 3, 3)).astype(dt)
-            self.params[f"conv{i}"] = Tensor(k, requires_grad=True)
-            self.bn.append(BNLayerState(c_out, self.params, f"bn{i}", dt,
-                                        eps=config.bn_eps,
-                                        momentum=config.bn_momentum))
-            c_in = c_out
-        feat = config.widths[-1]
-        self._init_head(rng, "head", feat, config.target_classes, dt)
-        if config.source_classes:
-            self._init_head(rng, "src_head", feat, config.source_classes, dt)
+        try:
+            for i, c_out in enumerate(config.widths, start=1):
+                fan_in = c_in * 9
+                k = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                               size=(c_out, c_in, 3, 3)).astype(dt)
+                self.params[f"conv{i}"] = Tensor(k, requires_grad=True)
+                self.bn.append(BNLayerState(c_out, self.params, f"bn{i}", dt,
+                                            eps=config.bn_eps,
+                                            momentum=config.bn_momentum))
+                c_in = c_out
+            feat = config.widths[-1]
+            self._init_head(rng, "head", feat, config.target_classes, dt)
+            if config.source_classes:
+                self._init_head(rng, "src_head", feat, config.source_classes,
+                                dt)
+        except MemoryError as exc:
+            # names the config key, as `load_data` does for a dataset
+            raise MemoryError(f"model: {exc}") from exc
 
     def _init_head(self, rng, name, feat, classes, dt):
         w = rng.normal(0.0, 1.0 / np.sqrt(feat), size=(feat, classes)).astype(dt)
@@ -160,8 +165,10 @@ class MiniCNN:
         """Run one branch end to end; returns (features, logits).
 
         `update_running` commits the batch statistics to the running
-        estimates in ADAPTIVE_TRAIN and is ignored in the other modes.
-        Each conv, BN and ReLU layer is one graph node. `capture`, if a
+        estimates in ADAPTIVE_TRAIN and is ignored in the other modes;
+        attacks, evaluation and the Frozen branch never commit any. Each
+        conv, BN and ReLU layer is one graph node, and pooling and the
+        head one each, so a two-layer branch records four. `capture`, if a
         dict, receives per layer its input and output nodes ("bn{i}.in",
         "bn{i}.out") and its pre-BN activation as a plain array
         ("bn{i}.pre"); the graph itself keeps no pre-BN array.

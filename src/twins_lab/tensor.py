@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every tensor wraps a numpy array (float32 for experiments, float64 for
-verification). Image-shaped tensors are NCHW in shape at every
-interface, but conv and batch-norm outputs are channels-last in memory
-(C innermost): each is the (N, C, H, W) transposed view of an
-(N, H, W, C) array. Elementwise ops keep their operands' memory order,
-and a ``.grad`` may have any memory order.
+Every tensor wraps a numpy array: float32 for experiments, float64 for
+all verification (the gradient oracle, the scale law and the loss
+identities). Image-shaped tensors are NCHW in shape at every interface
+(captures, analysis, checkpoints), and kernels are OCHW, but conv and
+batch-norm outputs are channels-last in memory (C innermost): each is
+the (N, C, H, W) transposed view of an (N, H, W, C) array. Elementwise
+ops keep their operands' memory order, and a ``.grad`` may have any
+memory order.
 
 The op set is the one the network runs, each a single graph node with a
 closed-form backward: ``conv2d``, batch norm with the ReLU that follows
@@ -15,7 +17,8 @@ itself, so that a conv, BN and ReLU layer is one node),
 cross-entropy and KL losses, and ``feature_distance`` (lwf's penalty).
 ``+`` and ``*`` take an operand of the same shape or a scalar, and
 ``sum()`` reduces to a scalar; they combine loss terms and let tests
-weight an output. None of them broadcasts.
+weight an output. None of them broadcasts: a mismatched shape raises
+``ShapeError``.
 
 Operations record their inputs and a backward closure on the output
 node; ``backward`` replays the closures in reverse topological order,
@@ -24,10 +27,12 @@ its operands is tracked (requires gradients, or is itself recorded), so
 constant subgraphs cost nothing at backward time. A closure refers to
 its operands but never to its own node, so a graph holds no reference
 cycle and is freed as soon as its loss goes out of scope. Callers that
-loop over steps (training, PGD, evaluation) drop a step's loss, logits
-and captured nodes once its scalar, sign or argmax has been read, before
-the next step builds its graph: one graph is live at a time, and the
-next step's same-shaped arrays reuse its memory.
+loop over steps (training, PGD, evaluation, warmup) drop a step's loss,
+logits and captured nodes once its scalar, sign or argmax has been read,
+before the next step builds its graph: one graph is live at a time, and
+the next step's same-shaped arrays reuse its memory. Code that loops
+over ``batch_loss`` or ``model.forward`` should do the same, or its peak
+holds two steps' graphs.
 
 Which operands receive a gradient is decided once, when a node is
 recorded: its closure adds into exactly the operands that were tracked
@@ -48,10 +53,12 @@ gradients also keeps nothing that only their gradients read: a
 convolution drops its im2col columns, batch norm with fixed statistics
 scales x-hat into its output in place instead of keeping it, and
 ``linear`` drops its flattened input. Forwards that train nothing run in
-``untracked(params)``: ``pgd_attack``'s graphs have the input as their
-only leaf and hold only what its gradient needs, so two share no node
-and may be built and differentiated in two threads at once; every other
-such forward records no node.
+``untracked(params)``: attacks, ``predict``, warmup's Frozen statistics
+pass and lwf's reference forward. ``pgd_attack``'s graphs have the input
+as their only leaf and hold only what its gradient needs, so a PGD step
+computes no kernel, BN-affine or head gradient, and two graphs share no
+node and may be built and differentiated in two threads at once; every
+other such forward records no node.
 """
 
 import contextlib
@@ -475,7 +482,8 @@ def batch_norm(x, gamma, beta, eps, stats=None):
     BN and ReLU layer is one node: its operands become this node's, and
     its backward runs on dx inside this one. x must therefore feed
     nothing else, since it leaves the graph; the graph then keeps neither
-    x's array nor its adjoint.
+    x's array nor its adjoint, and x gets no ``.grad``. The ReLU clamps
+    the output in place, so no pre-ReLU array or mask is kept either.
     """
     grad_x = x._tracked()
     if x._prev:

@@ -144,6 +144,20 @@ def test_attack_stays_in_ball_and_pixel_range():
     assert adv.min() >= 0.0 and adv.max() <= 1.0
 
 
+def test_random_start_moves_pixels_both_ways():
+    """With no steps the attack returns its random start, drawn from
+    U(-eps, eps) per pixel: on images of 0.5, some pixels move down, some
+    move up, and none moves by more than eps."""
+    model = _mini_model()
+    x = np.full((4, 3, 8, 8), 0.5)
+    cfg = AttackConfig(epsilon=8 / 255, alpha=2 / 255, steps=0)
+    adv = pgd_attack(model, BranchMode.INFERENCE, x, np.zeros(4, int), cfg,
+                     rng=np.random.default_rng(9))
+    moved = adv - x
+    assert (moved < 0).any() and (moved > 0).any()
+    assert np.abs(moved).max() <= cfg.epsilon + 1e-12
+
+
 def test_attack_deterministic_without_random_start():
     model = _mini_model()
     rng = np.random.default_rng(5)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twins_lab import cli, experiment, training
+from twins_lab import cli, experiment, network, training
 from twins_lab.cli import main
 from twins_lab.experiment import (METRICS_HEADER, ConfigError, load_config,
                                   parse_config, read_metrics, run_experiment,
@@ -649,19 +649,22 @@ def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 1.36 PiB for an array")
 
 
-@pytest.mark.parametrize("command, module, loader", [
-    ("gen-data", cli, "load_records"), ("run", experiment, "load_dataset")],
-    ids=["gen-data", "run"])
+@pytest.mark.parametrize("command, module, loader, key", [
+    ("gen-data", cli, "load_records", "target_data"),
+    ("run", experiment, "load_dataset", "target_data"),
+    ("run", network, "BNLayerState", "model")],
+    ids=["gen-data", "run", "model"])
 def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch,
-                                           command, module, loader):
-    """A dataset too large to allocate stops with an error line naming
-    it, as numpy refuses an array of 10^12 images at once."""
+                                           command, module, loader, key):
+    """A dataset or model too large to allocate stops with an error line
+    naming it, as numpy refuses an array of 10^12 images, or a layer of
+    10^9 channels, at once."""
     monkeypatch.setattr(module, loader, _out_of_memory)
     out = tmp_path / "out"
     assert main([command, _write_config(tmp_path,
                                         _base_config(str(out)))]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: out of memory: target_data: Unable to allocate "
+    assert err == (f"error: out of memory: {key}: Unable to allocate "
                    "1.36 PiB for an array\n")
     assert not out.exists()
 

@@ -21,9 +21,12 @@ from twins_lab.training import (TrainConfig, batch_loss, run_training,
 BOUND = 1.3
 
 # float32 values per image at the peak of one std training step on 64
-# images: 8,821 when each convolution frees its im2col columns once it has
-# taken its kernel gradient, 11,126 when they lived through the rest of the
-# pass; the bound leaves 10% headroom over 8,821
+# images: 8,821 (2.26 MB) when each convolution frees its im2col columns
+# once it has taken its kernel gradient, 11,126 (2.85 MB) when they lived
+# through the rest of the pass; the bound leaves 10% headroom over 8,821.
+# Traced the same way (widths 16/32, after a warm-up step), a std step on
+# 256 images of 1x28x28 peaks at 22.1 MB (28.7 MB), and a twins-trades
+# step on 64 images of 3x16x16 at 4.12 MB (4.84 MB).
 TRAIN_STEP_VALUES_PER_IMAGE = 9700
 
 # float32 values per image at the peak of one INFERENCE attack step on

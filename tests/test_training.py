@@ -5,8 +5,8 @@ import pytest
 
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.data import DatasetSpec, gen_synthetic_dataset, split_train_val
-from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, copy_model,
-                               make_finetune_model)
+from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, bn_ema,
+                               copy_model, make_finetune_model)
 from twins_lab.tensor import (Tensor, backprop, feature_distance,
                               softmax_cross_entropy)
 from twins_lab.training import (METHODS, TrainConfig, batch_loss, lr_at_epoch,
@@ -209,6 +209,51 @@ def test_lwf_penalty_adds_the_feature_distance():
     assert distance > 0
     assert lwf.item() == pytest.approx(plain.item() + 0.5 * distance,
                                        rel=1e-12)
+
+
+def _log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def test_trades_loss_is_ce_plus_beta_kl_from_adv_to_clean():
+    """The lab's TRADES variant (ROADMAP item 10): CE on the adversarial
+    inputs plus beta * KL(softmax(adv) || softmax(clean)), both through
+    the Adaptive branch, computed here by hand in float64."""
+    model = _finetune_model(seed=14)
+    x, y = _batch(seed=14)
+    adv = _shared_adv(model, x, y)
+    twin = copy_model(model)
+    _, clean = twin.forward(x, BranchMode.ADAPTIVE_TRAIN)
+    _, attacked = twin.forward(adv, BranchMode.ADAPTIVE_TRAIN)
+    lq, lp = _log_softmax(clean.data), _log_softmax(attacked.data)
+    ce = -lp[np.arange(len(y)), y].mean()
+    kl = (np.exp(lp) * (lp - lq)).sum(axis=1).mean()
+    assert kl > 1e-6
+    trades = _loss(model, x, y, adv, "trades", beta=6.0)
+    assert abs(trades.item() - (ce + 6.0 * kl)) <= 1e-12
+
+
+def test_twins_adaptive_wing_commits_its_batch_statistics():
+    """One twins-at loss folds the batch statistics of the Adaptive half's
+    adversarial inputs into each BN layer's running statistics with
+    `bn_ema`; the Frozen half commits none."""
+    model = _finetune_model(seed=13)
+    x, y = _batch(seed=13)
+    adv = _shared_adv(model, x, y)
+    capture = {}
+    copy_model(model).forward(adv[:4], BranchMode.ADAPTIVE_TRAIN,
+                              capture=capture)
+    old = [(state.running_mean.copy(), state.running_var.copy())
+           for state in model.bn]
+    cfg = TrainConfig(method="twins-at", batch=8, attack=ATTACK)
+    batch_loss(model, x, y, cfg, None, adv=adv)
+    for i, (state, stats) in enumerate(zip(model.bn, old), start=1):
+        pre = capture[f"bn{i}.pre"]
+        mean, var = bn_ema(stats, (pre.mean(axis=(0, 2, 3)),
+                                   pre.var(axis=(0, 2, 3))), state.momentum)
+        assert np.abs(state.running_mean - mean).max() <= 1e-12
+        assert np.abs(state.running_var - var).max() <= 1e-12
 
 
 def test_joint_zero_penalty_reduces_to_at_bitwise():
