@@ -2,23 +2,25 @@
 
 Layout (format version 2): 8-byte magic "TWINSCKP", 4-byte little-endian
 header length, a UTF-8 JSON header {version, metadata} whose
-`metadata.model_config` is the model's ModelConfig, then the arrays of
-`MiniCNN(model_config).state_dict()` back to back in its order,
+`metadata.model_config` is the model's ModelConfig, then the arrays that
+`network.array_shapes(model_config)` lists, back to back in its order,
 little-endian in the config's dtype, then the 32-byte SHA-256 of every
 byte before it. The config fixes each array's name, shape and dtype, so
-the header lists none of them.
+the header lists none of them; a header whose config needs more bytes
+than its payload holds fails before any array is allocated.
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
-from .network import MiniCNN, ModelConfig
+from .network import MiniCNN, ModelConfig, array_shapes
 
 MAGIC = b"TWINSCKP"
 VERSION = 2
@@ -57,17 +59,19 @@ def save_checkpoint(path, model, metadata=None):
     naming the array, and no file is written."""
     meta = dict(metadata or {})
     meta["model_config"] = dataclasses.asdict(model.config)
-    # the file stores no shapes, so the state must be the one its config
-    # builds; load_state_dict names the first array that is not
-    fitted = MiniCNN(model.config)
-    try:
-        fitted.load_state_dict(model.state_dict())
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint tensor mismatch: {exc}") from exc
+    # the file stores no shapes, so the state must have the config's
+    shapes = array_shapes(model.config)
+    state = model.state_dict()
+    for name, shape in shapes.items():
+        got = np.shape(state[name]) if name in state else "absent"
+        if got != shape:
+            raise CheckpointError(
+                f"checkpoint tensor mismatch: shape mismatch for {name!r}: "
+                f"{got}, expected {shape}")
     dtype = _payload_dtype(model.config)
     header = json.dumps({"version": VERSION, "metadata": meta}).encode("utf-8")
     body = b"".join([MAGIC, struct.pack("<I", len(header)), header] + [
-        arr.astype(dtype).tobytes() for arr in fitted.state_dict().values()])
+        np.asarray(state[name], dtype).tobytes() for name in shapes])
     with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(hashlib.sha256(body).digest())
@@ -112,18 +116,18 @@ def load_checkpoint(path):
         cfg = ModelConfig(**{k: mc[k] for k in keys})
     except ValueError as exc:  # a value of the wrong type or range
         raise CheckpointError(f"checkpoint model_config: {exc}") from exc
-    model = MiniCNN(cfg)
-    state = model.state_dict()
+    shapes = array_shapes(cfg)
     dtype = _payload_dtype(cfg)
-    need = sum(arr.size for arr in state.values()) * dtype.itemsize
+    need = sum(map(math.prod, shapes.values())) * dtype.itemsize
     if payload_end - header_end != need:
         raise CheckpointError(
             f"checkpoint payload is {payload_end - header_end} bytes, but "
             f"its model_config needs {need}")
-    at = header_end
-    for name, arr in state.items():
-        state[name] = np.frombuffer(blob, dtype, count=arr.size,
-                                    offset=at).reshape(arr.shape)
-        at += arr.size * dtype.itemsize
+    state, at = {}, header_end
+    for name, shape in shapes.items():
+        state[name] = np.frombuffer(blob, dtype, count=math.prod(shape),
+                                    offset=at).reshape(shape)
+        at += state[name].nbytes
+    model = MiniCNN(cfg)
     model.load_state_dict(state)
     return model, meta

@@ -19,7 +19,8 @@ from .tensor import (Tensor, batch_norm, conv2d, global_avg_pool, linear,
 # stride and zero padding of every MiniCNN convolution
 CONV_GEOMETRY = {"stride": 2, "pad": 1}
 
-# per-channel statistic arrays of every BNLayerState, in checkpoint order
+# per-channel arrays of every BNLayerState, each tuple in checkpoint order
+_BN_AFFINES = ("gamma_a", "beta_a", "gamma_f", "beta_f")
 _BN_STATS = ("running_mean", "running_var", "frozen_mean", "frozen_var")
 
 
@@ -49,25 +50,19 @@ class ModelConfig:
 class BNLayerState:
     """Per-channel affines plus two statistic sets (running and frozen).
 
-    Affine parameters (one pair per branch) are entries of the model's
-    `params` dict; statistics are plain arrays and never receive
+    `arrays` holds the layer's arrays by full name ("{prefix}.gamma_a",
+    ...): the affines (one pair per branch) as entries of the model's
+    `params` dict, the `_BN_STATS` as plain arrays that never receive
     gradients.
     """
 
-    def __init__(self, channels, params, prefix, dtype, eps=1e-5, momentum=0.1):
-        self.channels = channels
+    def __init__(self, prefix, arrays, eps=1e-5, momentum=0.1):
         self.eps = eps
         self.momentum = momentum
         self.prefix = prefix
-        for name, init in (("gamma_a", np.ones), ("beta_a", np.zeros),
-                           ("gamma_f", np.ones), ("beta_f", np.zeros)):
-            t = Tensor(init(channels, dtype), requires_grad=True)
-            params[f"{prefix}.{name}"] = t
-            setattr(self, name, t)
-        self.running_mean = np.zeros(channels, dtype)
-        self.running_var = np.ones(channels, dtype)
-        self.frozen_mean = np.zeros(channels, dtype)
-        self.frozen_var = np.ones(channels, dtype)
+        for part in _BN_AFFINES + _BN_STATS:
+            setattr(self, part, arrays[f"{prefix}.{part}"])
+        self.channels = len(self.running_mean)
 
 
 def bn_forward(x, state, mode):
@@ -109,6 +104,25 @@ def bn_update_running(state, batch_stats):
         (state.running_mean, state.running_var), batch_stats, state.momentum)
 
 
+def array_shapes(config):
+    """Each array of a MiniCNN of `config`, name -> shape, in checkpoint
+    order: every parameter (each layer's kernel and BN affines, then
+    the heads), then each BN layer's `_BN_STATS`."""
+    shapes, stats = {}, {}
+    c_in = config.input_shape[0]
+    for i, c_out in enumerate(config.widths, start=1):
+        shapes[f"conv{i}"] = (c_out, c_in, 3, 3)
+        shapes.update({f"bn{i}.{part}": (c_out,) for part in _BN_AFFINES})
+        stats.update({f"bn{i}.{stat}": (c_out,) for stat in _BN_STATS})
+        c_in = c_out
+    for head, classes in (("head", config.target_classes),
+                          ("src_head", config.source_classes)):
+        if classes:
+            shapes.update({f"{head}.w": (c_in, classes),
+                           f"{head}.b": (classes,)})
+    return {**shapes, **stats}
+
+
 class MiniCNN:
     """Conv3x3/s2 -> BN -> ReLU -> Conv3x3/s2 -> BN -> ReLU -> GAP -> linear.
 
@@ -120,33 +134,30 @@ class MiniCNN:
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(0)
         dt = config.np_dtype()
-        self.params = {}  # name -> trainable Tensor, in checkpoint order
-        self.bn = []
-        c_in = config.input_shape[0]
+        self.params, stats = {}, {}  # by name, in checkpoint order
         try:
-            for i, c_out in enumerate(config.widths, start=1):
-                fan_in = c_in * 9
-                k = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                               size=(c_out, c_in, 3, 3)).astype(dt)
-                self.params[f"conv{i}"] = Tensor(k, requires_grad=True)
-                self.bn.append(BNLayerState(c_out, self.params, f"bn{i}", dt,
-                                            eps=config.bn_eps,
-                                            momentum=config.bn_momentum))
-                c_in = c_out
-            feat = config.widths[-1]
-            self._init_head(rng, "head", feat, config.target_classes, dt)
-            if config.source_classes:
-                self._init_head(rng, "src_head", feat, config.source_classes,
-                                dt)
+            for name, shape in array_shapes(config).items():
+                part = name.rpartition(".")[2]
+                if name.startswith("conv"):  # He init over c_in * 3 * 3
+                    arr = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)),
+                                     size=shape).astype(dt)
+                elif part == "w":  # a head over its features
+                    arr = rng.normal(0.0, 1.0 / np.sqrt(shape[0]),
+                                     size=shape).astype(dt)
+                elif part.startswith("gamma") or part.endswith("var"):
+                    arr = np.ones(shape, dt)
+                else:
+                    arr = np.zeros(shape, dt)
+                if part in _BN_STATS:
+                    stats[name] = arr
+                else:
+                    self.params[name] = Tensor(arr, requires_grad=True)
         except MemoryError as exc:
             # names the config key, as `load_data` does for a dataset
             raise MemoryError(f"model: {exc}") from exc
-
-    def _init_head(self, rng, name, feat, classes, dt):
-        w = rng.normal(0.0, 1.0 / np.sqrt(feat), size=(feat, classes)).astype(dt)
-        self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
-        self.params[f"{name}.b"] = Tensor(np.zeros(classes, dt),
-                                          requires_grad=True)
+        self.bn = [BNLayerState(f"bn{i}", {**self.params, **stats},
+                                eps=config.bn_eps, momentum=config.bn_momentum)
+                   for i in range(1, len(config.widths) + 1)]
 
     def conv_names(self):
         return [f"conv{i}" for i in range(1, len(self.bn) + 1)]

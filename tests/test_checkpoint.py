@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twins_lab import checkpoint
 from twins_lab.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                   save_checkpoint)
 from twins_lab.cli import main
@@ -174,6 +175,42 @@ def test_tensor_size_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="^checkpoint payload is "
                        r"\d+ bytes, but its model_config needs \d+$"):
         load_checkpoint(path)
+
+
+def test_forged_header_fails_before_building_a_model(tmp_path, monkeypatch):
+    """A re-hashed header whose model_config needs far more bytes than the
+    payload holds; the SHA-256 is a checksum, not a signature."""
+    header, payload = _good_parts(tmp_path)
+    header["metadata"]["model_config"]["widths"] = [4, 2000000]
+    path = str(tmp_path / "forged.ckpt")
+    _write_raw(path, header, payload)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a model was built before the payload size was checked")
+
+    monkeypatch.setattr(checkpoint, "MiniCNN", refuse)
+    with pytest.raises(CheckpointError, match="^checkpoint payload is "
+                       r"\d+ bytes, but its model_config needs \d+$"):
+        load_checkpoint(path)
+
+
+def _reshape_conv1(model):
+    """conv1 keeps its size but not its shape."""
+    k = model.params["conv1"]
+    k.data = k.data.reshape(k.shape[1], k.shape[0], 3, 3)
+
+
+def _drop_conv1(model):
+    del model.params["conv1"]
+
+
+@pytest.mark.parametrize("spoil", [_reshape_conv1, _drop_conv1])
+def test_save_refuses_state_that_does_not_fit_its_config(tmp_path, spoil):
+    model = _model()
+    spoil(model)
+    with pytest.raises(CheckpointError, match="'conv1'"):
+        save_checkpoint(str(tmp_path / "bad.ckpt"), model)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _drop_model_config(header):

@@ -652,7 +652,7 @@ def _out_of_memory(*args, **kwargs):
 @pytest.mark.parametrize("command, module, loader, key", [
     ("gen-data", cli, "load_records", "target_data"),
     ("run", experiment, "load_dataset", "target_data"),
-    ("run", network, "BNLayerState", "model")],
+    ("run", network, "Tensor", "model")],
     ids=["gen-data", "run", "model"])
 def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch,
                                            command, module, loader, key):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
-                               bn_forward, bn_update_running, copy_model,
+from twins_lab.network import (BranchMode, MiniCNN, ModelConfig, bn_forward,
+                               bn_update_running, copy_model,
                                make_finetune_model)
 from twins_lab.tensor import (Tensor, backprop, finite_diff_grad,
                               softmax_cross_entropy)
@@ -11,8 +11,8 @@ from twins_lab.attack import AttackConfig
 
 
 def _bn_state(eps=0.0):
-    ps = {}
-    return BNLayerState(1, ps, "bn1", np.float64, eps=eps, momentum=0.1)
+    """A float64 BN layer of one channel at its initial values."""
+    return _model(widths=(1,), eps=eps).bn[0]
 
 
 def _model(dtype="float64", widths=(4, 6), classes=3, source_classes=0,
@@ -67,8 +67,8 @@ def _bn_case(mode, seed=0):
     its input registered as parameter "x", and a loss that weighs each
     output element differently."""
     rng = np.random.default_rng(seed)
-    ps = {}
-    state = BNLayerState(3, ps, "bn1", np.float64, eps=1e-3)
+    model = _model(widths=(3,), eps=1e-3)
+    ps, state = model.params, model.bn[0]
     for t in (state.gamma_a, state.gamma_f):
         t.data = rng.uniform(0.5, 2.0, size=3)
     for t in (state.beta_a, state.beta_f):
@@ -164,6 +164,52 @@ def test_bn_forward_never_mutates_state():
              state.frozen_mean, state.frozen_var)
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
+
+
+def _initial_state(cfg, seed):
+    """A fresh model's arrays in checkpoint order, drawn here: He kernels
+    with std sqrt(2 / (c_in * 9)) and heads with std 1/sqrt(features),
+    from one generator in that order and then cast; gammas and variances
+    ones, everything else zeros."""
+    rng = np.random.default_rng(seed)
+    dt = cfg.np_dtype()
+    params, stats = {}, {}
+    c_in = cfg.input_shape[0]
+    for i, c in enumerate(cfg.widths, start=1):
+        params[f"conv{i}"] = rng.normal(0.0, np.sqrt(2.0 / (c_in * 9)),
+                                        size=(c, c_in, 3, 3)).astype(dt)
+        for branch in "af":
+            params[f"bn{i}.gamma_{branch}"] = np.ones(c, dt)
+            params[f"bn{i}.beta_{branch}"] = np.zeros(c, dt)
+        for kind in ("running", "frozen"):
+            stats[f"bn{i}.{kind}_mean"] = np.zeros(c, dt)
+            stats[f"bn{i}.{kind}_var"] = np.ones(c, dt)
+        c_in = c
+    heads = [("head", cfg.target_classes)]
+    if cfg.source_classes:
+        heads.append(("src_head", cfg.source_classes))
+    for head, classes in heads:
+        params[f"{head}.w"] = rng.normal(0.0, 1.0 / np.sqrt(c_in),
+                                         size=(c_in, classes)).astype(dt)
+        params[f"{head}.b"] = np.zeros(classes, dt)
+    return {**params, **stats}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("source_classes", [0, 2])
+@pytest.mark.parametrize("widths", [(5,), (4, 6, 3)])
+def test_initial_arrays_are_the_documented_draws(widths, source_classes,
+                                                 dtype):
+    for seed in (0, 7):
+        cfg = ModelConfig(input_shape=(3, 8, 8), widths=widths,
+                          target_classes=3, source_classes=source_classes,
+                          dtype=dtype)
+        state = MiniCNN(cfg, rng=np.random.default_rng(seed)).state_dict()
+        ref = _initial_state(cfg, seed)
+        assert list(state) == list(ref)
+        for name, arr in state.items():
+            assert arr.dtype == ref[name].dtype, name
+            assert np.array_equal(arr, ref[name]), name
 
 
 def test_branches_share_conv_weights():

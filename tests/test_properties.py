@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 from twins_lab import attack
 from twins_lab.attack import AttackConfig, pgd_attack
 from twins_lab.experiment import ConfigError, parse_config
-from twins_lab.network import (BNLayerState, BranchMode, MiniCNN, ModelConfig,
-                               bn_forward)
+from twins_lab.network import BranchMode, MiniCNN, ModelConfig, bn_forward
 from twins_lab.tensor import (Tensor, _channel_sum,
                               _conv2d_forward, backprop, batch_norm,
                               conv2d, conv2d_weight_grad,
@@ -148,8 +147,8 @@ def test_bn_matches_reference_and_finite_diff(case):
     convolution and the per-channel formulas."""
     rng = np.random.default_rng(case["seed"])
     o, mode = case["o"], case["mode"]
-    ps = {}
-    state = BNLayerState(o, ps, "bn", np.float64, eps=1e-3)
+    model = MiniCNN(ModelConfig(widths=(o,), dtype="float64", bn_eps=1e-3))
+    ps, state = model.params, model.bn[0]
     for t in (state.gamma_a, state.gamma_f):
         t.data = rng.uniform(0.5, 2.0, size=o)
     for t in (state.beta_a, state.beta_f):
@@ -162,7 +161,7 @@ def test_bn_matches_reference_and_finite_diff(case):
     k = ps["k"] = Tensor(rng.normal(
         size=(o, case["c"], case["kh"], case["kw"])), requires_grad=True)
     branch = "f" if mode is BranchMode.FROZEN_TRAIN else "a"
-    gamma, beta = ps[f"bn.gamma_{branch}"], ps[f"bn.beta_{branch}"]
+    gamma, beta = ps[f"bn1.gamma_{branch}"], ps[f"bn1.beta_{branch}"]
     stats = {BranchMode.ADAPTIVE_TRAIN: None,
              BranchMode.FROZEN_TRAIN: (state.frozen_mean, state.frozen_var),
              BranchMode.INFERENCE: (state.running_mean, state.running_var)
@@ -194,7 +193,7 @@ def test_bn_matches_reference_and_finite_diff(case):
     def loss():
         return (layer()[0] * weights).sum()
 
-    names = ["x", "k", f"bn.gamma_{branch}", f"bn.beta_{branch}"]
+    names = ["x", "k", f"bn1.gamma_{branch}", f"bn1.beta_{branch}"]
     grads = backprop(loss(), ps, names)
     # the input gradient comes back in the input's memory order
     assert _memory_order(x.grad) == _memory_order(x.data)
